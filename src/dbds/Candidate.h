@@ -57,9 +57,6 @@ struct DuplicationCandidate {
   /// the surviving copied instructions).
   int64_t SizeCost = 0;
 
-  /// Number of distinct optimizations the simulation saw fire.
-  unsigned OptimizationsTriggered = 0;
-
   /// Per-kind breakdown of the triggered action steps (telemetry: the
   /// decision log records which opportunities motivated each candidate).
   OpportunityCounts Opportunities;

@@ -142,70 +142,48 @@ private:
     Scope.undo(Undo);
   }
 
-  /// Partial-escape credit (paper §5.2): duplicating this pair removes the
-  /// phi input at \p PredIdx. An allocation whose only escape was that
-  /// input dies entirely — scalar replacement, priced as AllocationSinks.
-  /// One whose residual escapes are confined to a single dominated,
-  /// loop-free block gets its materialization sunk there by the
-  /// partial-escape phase — priced as PartialEscapes: the CYCLES_8
-  /// allocation cost stops being paid on paths that avoid the escape.
+  /// Escape credit (paper §5.2): duplicating this pair removes the phi
+  /// input at \p PredIdx, so the simulation asks partial escape analysis
+  /// what becomes of that input's allocation without the phi. If it dies,
+  /// the allocation and its initializer stores are saved (AllocationSinks);
+  /// if it sinks into a dominated block, the CYCLES_8 allocation cost stops
+  /// being paid on paths that avoid the escape (PartialEscapes).
   void addEscapeCredit(Block *M, unsigned PredIdx, DuplicationCandidate &C) {
     for (PhiInst *Phi : M->phis()) {
       auto *New = dyn_cast<NewInst>(Phi->getInput(PredIdx));
-      if (!New || !New->getBlock())
+      if (!New)
         continue;
-      Block *Home = New->getBlock();
-      unsigned PhiUses = 0;
-      bool HasLoad = false;
-      bool StoresAtHome = true;
-      SmallVector<Instruction *, 4> Residual;
-      for (Instruction *User : New->users()) {
-        if (!useEscapesAllocation(New, User)) {
-          if (isa<LoadFieldInst>(User))
-            HasLoad = true;
-          else if (User->getBlock() != Home)
-            StoresAtHome = false;
-          continue;
-        }
-        if (User == Phi)
-          ++PhiUses;
-        else
-          Residual.push_back(User);
-      }
-      if (PhiUses != 1)
-        continue; // another input of this phi keeps it escaped
-      if (Residual.empty()) {
-        // Full un-escape: the allocation and its initializer stores die.
+      switch (escapeFate(New, DT, LI, Phi).K) {
+      case EscapeFate::Dies: {
         double Saved = New->estimatedCycles();
         for (Instruction *User : New->users())
           if (isa<StoreFieldInst>(User))
             Saved += User->estimatedCycles();
         C.CyclesSaved += Saved;
         ++C.Opportunities.AllocationSinks;
-        ++allocation_sinks;
-        if (Stats)
-          ++Stats->AllocationSinks;
-        continue;
+        break;
       }
-      // Partial un-escape: mirror PartialEscapePhase::trySink's
-      // preconditions so the claim is only made when the phase can
-      // actually deliver the sink after duplication.
-      if (HasLoad || !StoresAtHome || LI.loopDepth(Home) != 0)
-        continue;
-      Block *SinkB = Residual.front()->getBlock();
-      bool Confined = SinkB != nullptr && SinkB != Home &&
-                      DT.isReachable(SinkB) && DT.dominates(Home, SinkB) &&
-                      LI.loopDepth(SinkB) == 0;
-      for (Instruction *E : Residual)
-        Confined = Confined && !isa<PhiInst>(E) && E->getBlock() == SinkB;
-      if (!Confined)
-        continue;
-      C.CyclesSaved += New->estimatedCycles();
-      ++C.Opportunities.PartialEscapes;
-      ++partial_escapes;
-      if (Stats)
-        ++Stats->PartialEscapes;
+      case EscapeFate::SinksTo:
+        C.CyclesSaved += New->estimatedCycles();
+        ++C.Opportunities.PartialEscapes;
+        break;
+      case EscapeFate::Stays:
+        break;
+      }
     }
+  }
+
+  /// The one counting site for opportunities: a finished DST's totals go
+  /// into the caller's stats and the simulator.* counters.
+  void recordOpportunities(const OpportunityCounts &O) {
+    constant_folds += O.ConstantFolds;
+    strength_reductions += O.StrengthReductions;
+    conditional_eliminations += O.ConditionalEliminations;
+    read_eliminations += O.ReadEliminations;
+    allocation_sinks += O.AllocationSinks;
+    partial_escapes += O.PartialEscapes;
+    if (Stats)
+      Stats->Opportunities += O;
   }
 
   /// The duplication simulation traversal for one predecessor->merge pair:
@@ -307,6 +285,7 @@ private:
       CurPred = Cur;
       Cur = Next;
     }
+    recordOpportunities(C.Opportunities);
   }
 
   /// Returns the size the copy of \p I contributes; updates benefit and
@@ -324,11 +303,7 @@ private:
         // Read elimination AC fired: the copied load is redundant.
         Syn[I] = Known;
         C.CyclesSaved += Load->estimatedCycles();
-        ++C.OptimizationsTriggered;
         ++C.Opportunities.ReadEliminations;
-        ++read_eliminations;
-        if (Stats)
-          ++Stats->ReadEliminations;
         return 0;
       }
       Memory.recordAvailable(Obj, Load->getFieldIndex(), I);
@@ -340,11 +315,7 @@ private:
       Instruction *Val = Resolve(Store->getValue());
       if (Memory.lookup(Obj, Store->getFieldIndex()) == Val) {
         C.CyclesSaved += Store->estimatedCycles();
-        ++C.OptimizationsTriggered;
         ++C.Opportunities.ReadEliminations;
-        ++read_eliminations;
-        if (Stats)
-          ++Stats->ReadEliminations;
         return 0;
       }
       Memory.recordStore(Obj, Store->getFieldIndex(), Val);
@@ -366,25 +337,21 @@ private:
       return I->estimatedSize();
     Instruction *Repl = Outcome.Replacement;
     Syn[I] = Repl;
-    ++C.OptimizationsTriggered;
     if (Outcome.IsNew) {
       // Action step produced a rewritten operation (e.g. div -> shr,
       // Figure 3d: CS = 32 - 1 = 31).
       ScratchNodes.push_back(Repl);
       C.CyclesSaved +=
           static_cast<double>(I->estimatedCycles()) - Repl->estimatedCycles();
-      ++C.Opportunities.StrengthReductions;
-      ++strength_reductions;
-      if (Stats)
-        ++Stats->StrengthReductions;
+      // Only a changed opcode is a strength reduction: a same-opcode
+      // rewrite is just a phi resolved to its input.
+      if (Repl->getOpcode() != I->getOpcode())
+        ++C.Opportunities.StrengthReductions;
       return Repl->estimatedSize();
     }
     // Folded to an existing value: the copy disappears entirely.
     C.CyclesSaved += I->estimatedCycles();
     ++C.Opportunities.ConstantFolds;
-    ++constant_folds;
-    if (Stats)
-      ++Stats->ConstantFolds;
     return 0;
   }
 
@@ -398,11 +365,7 @@ private:
       if (CondStamp.asConstant()) {
         C.CyclesSaved += static_cast<double>(If->estimatedCycles()) -
                          opcodeCycles(Opcode::Jump);
-        ++C.OptimizationsTriggered;
         ++C.Opportunities.ConditionalEliminations;
-        ++conditional_eliminations;
-        if (Stats)
-          ++Stats->ConditionalEliminations;
         return opcodeSize(Opcode::Jump);
       }
     }

@@ -30,18 +30,12 @@ namespace dbds {
 
 class CancellationToken;
 
-/// Per-pair details of what the simulation saw (exposed for tests and the
-/// ablation benches).
+/// Aggregate details of what the simulation saw (exposed for tests and
+/// the ablation benches).
 struct SimulationStats {
   unsigned PairsSimulated = 0;
   unsigned PathsSimulated = 0; ///< Two-merge DSTs (§8 extension).
-  unsigned ConstantFolds = 0;
-  unsigned StrengthReductions = 0;
-  unsigned ConditionalEliminations = 0;
-  unsigned ReadEliminations = 0;
-  unsigned AllocationSinks = 0;
-  unsigned PartialEscapes = 0; ///< §5.2 partial un-escapes (residual
-                               ///< escapes confined to a dominated block).
+  OpportunityCounts Opportunities; ///< Summed over every DST.
 };
 
 /// Simulates every predecessor->merge duplication in \p F and returns the

@@ -409,8 +409,8 @@ private:
 
 /// Direct call of another function in the same module, referenced by
 /// name (stable across cloning). Returns an integer; unknown side effects
-/// on escaped memory until inlined (opts/Inliner.h), after which its body
-/// is optimized in place — the §5.1 front-end inlining step.
+/// on escaped memory. No phase inlines it: the interpreter runs the callee
+/// as a separate frame.
 class InvokeInst : public Instruction {
 public:
   InvokeInst(std::string CalleeName, ArrayRef<Instruction *> Args)

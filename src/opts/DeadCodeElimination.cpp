@@ -4,17 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Liveness roots are terminators, calls, and stores into objects that may
-// escape. A store into a non-escaping allocation is only a root if the
-// allocation itself becomes live (via a surviving load or escape); an
-// allocation kept alive by nothing but its own initializing stores dies
-// together with them — that is scalar replacement after partial escape
-// analysis (paper Listing 3/4): once duplication removes the phi escape,
-// the allocation sinks away here.
+// Liveness roots are terminators, calls, invokes and stores; everything
+// else lives only as an operand of something live. Allocations that die
+// with their initializing stores are partial escape analysis's business
+// (opts/PartialEscape.h), which runs just before this phase.
 //
 //===----------------------------------------------------------------------===//
 
-#include "opts/PartialEscape.h"
 #include "opts/Phase.h"
 
 #include <unordered_set>
@@ -31,44 +27,17 @@ bool DeadCodeElimination::run(Function &F) {
       Worklist.push_back(I);
   };
 
-  // Initial roots. Stores into candidate-sinkable allocations are held
-  // back; they join the worklist only if their allocation becomes live.
-  std::vector<StoreFieldInst *> HeldBackStores;
-  for (Block *B : F.blocks()) {
-    for (Instruction *I : *B) {
-      if (I->isTerminator() || isa<CallInst, InvokeInst>(I)) {
+  for (Block *B : F.blocks())
+    for (Instruction *I : *B)
+      if (I->isTerminator() || isa<CallInst, InvokeInst, StoreFieldInst>(I))
         markLive(I);
-        continue;
-      }
-      if (auto *Store = dyn_cast<StoreFieldInst>(I)) {
-        auto *New = dyn_cast<NewInst>(Store->getObject());
-        if (New && allocationDoesNotEscape(New)) {
-          HeldBackStores.push_back(Store);
-          continue;
-        }
-        markLive(Store);
-      }
-    }
-  }
 
-  // Propagate liveness through operands; re-arm held-back stores whose
-  // allocation became live.
-  while (true) {
-    while (!Worklist.empty()) {
-      Instruction *I = Worklist.back();
-      Worklist.pop_back();
-      for (Instruction *Op : I->operands())
-        markLive(Op);
-    }
-    bool Rearmed = false;
-    for (StoreFieldInst *Store : HeldBackStores) {
-      if (!Live.count(Store) && Live.count(Store->getObject())) {
-        markLive(Store);
-        Rearmed = true;
-      }
-    }
-    if (!Rearmed)
-      break;
+  // Propagate liveness through operands.
+  while (!Worklist.empty()) {
+    Instruction *I = Worklist.back();
+    Worklist.pop_back();
+    for (Instruction *Op : I->operands())
+      markLive(Op);
   }
 
   // Sweep. Collect first (removal edits block lists), then detach; an

@@ -31,8 +31,9 @@
 // can be reached along paths with different escape histories. That makes
 // this the optimization duplication unlocks — once DBDS copies the merge
 // into a predecessor, the phi escape disappears and the allocation stays
-// virtual (Listing 3); the Simulator prices that as AllocationSinks /
-// PartialEscapes opportunities.
+// virtual (Listing 3). Transforms 2 and 3 are decided by escapeFate, which
+// the Simulator asks with the merge phi dropped to price AllocationSinks /
+// PartialEscapes opportunities: the price and the delivery are one query.
 //
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +86,44 @@ bool dbds::allocationDoesNotEscape(NewInst *New) {
     if (useEscapesAllocation(New, User))
       return false;
   return true;
+}
+
+EscapeFate dbds::escapeFate(NewInst *New, const DominatorTree &DT,
+                            const LoopInfo &LI,
+                            const Instruction *DroppedUse) {
+  Block *Home = New->getBlock();
+  if (!Home)
+    return {};
+  bool Dropped = false, HasLoad = false, StoresAtHome = true;
+  SmallVector<Instruction *, 4> Escapes;
+  for (Instruction *User : New->users()) {
+    if (!useEscapesAllocation(New, User)) {
+      if (isa<LoadFieldInst>(User))
+        HasLoad = true;
+      else if (User->getBlock() != Home)
+        StoresAtHome = false; // initializers must move as one unit
+      continue;
+    }
+    if (User == DroppedUse && !Dropped)
+      Dropped = true; // once: a second input of the same phi still escapes
+    else
+      Escapes.push_back(User);
+  }
+  if (Escapes.empty())
+    return {EscapeFate::Dies};
+  // Sinking moves the object: a surviving load would read it early, and
+  // re-materializing inside a loop would change how many objects exist.
+  if (HasLoad || !StoresAtHome || LI.loopDepth(Home) != 0)
+    return {};
+  // One block must hold every escape; a phi's use sits on an edge instead.
+  Block *Sink = Escapes.front()->getBlock();
+  for (Instruction *E : Escapes)
+    if (isa<PhiInst>(E) || E->getBlock() != Sink)
+      return {};
+  if (!Sink || Sink == Home || !DT.isReachable(Sink) ||
+      !DT.dominates(Home, Sink) || LI.loopDepth(Sink) != 0)
+    return {};
+  return {EscapeFate::SinksTo, Sink};
 }
 
 namespace {
@@ -191,24 +230,24 @@ private:
       for (Instruction *I : *B)
         if (auto *New = dyn_cast<NewInst>(I))
           Allocs.push_back(New);
-    for (NewInst *New : Allocs)
-      if (!tryScalarReplace(New))
-        trySink(New);
+    for (NewInst *New : Allocs) {
+      EscapeFate Fate = escapeFate(New, DT, LI);
+      if (Fate.K == EscapeFate::Dies)
+        tryScalarReplace(New);
+      else if (Fate.K == EscapeFate::SinksTo)
+        sink(New, Fate.Sink);
+    }
   }
 
-  /// Deletes \p New and its initializer stores when nothing else remains:
-  /// the allocation never materialized anywhere.
-  bool tryScalarReplace(NewInst *New) {
-    SmallVector<StoreFieldInst *, 4> Stores;
-    for (Instruction *User : New->users()) {
-      if (useEscapesAllocation(New, User))
-        return false;
-      auto *Store = dyn_cast<StoreFieldInst>(User);
-      if (!Store)
-        return false; // a surviving load still reads a field
-      Stores.push_back(Store);
-    }
-    for (StoreFieldInst *Store : Stores) {
+  /// Deletes the never-escaping \p New and its initializer stores when no
+  /// load remains: the allocation never materialized anywhere.
+  void tryScalarReplace(NewInst *New) {
+    SmallVector<Instruction *, 4> Stores(New->users().begin(),
+                                         New->users().end());
+    for (Instruction *Store : Stores)
+      if (!isa<StoreFieldInst>(Store))
+        return; // a surviving load still reads a field
+    for (Instruction *Store : Stores) {
       Store->getBlock()->remove(Store);
       ++Stats.StoresEliminated;
       ++stores_eliminated;
@@ -217,38 +256,16 @@ private:
     Changed = true;
     ++Stats.AllocsScalarReplaced;
     ++allocs_scalar_replaced;
-    return true;
   }
 
-  /// Lazy materialization: when every escape of \p New sits in one block
-  /// strictly dominated by its definition, re-emit the allocation and its
-  /// initializer stores there.
-  bool trySink(NewInst *New) {
+  /// Lazy materialization: re-emits \p New and its initializer stores at
+  /// the top of \p Sink, the one block holding every escape.
+  void sink(NewInst *New, Block *Sink) {
     Block *Home = New->getBlock();
-    if (LI.loopDepth(Home) != 0)
-      return false;
-    Block *Sink = nullptr;
     SmallVector<StoreFieldInst *, 4> InitStores;
-    for (Instruction *User : New->users()) {
-      if (auto *Store = dyn_cast<StoreFieldInst>(User);
-          Store && !useEscapesAllocation(New, Store)) {
-        if (Store->getBlock() != Home)
-          return false; // initializers must move as one unit from home
-        InitStores.push_back(Store);
-        continue;
-      }
+    for (Instruction *User : New->users())
       if (!useEscapesAllocation(New, User))
-        return false; // a surviving load would read the moved object early
-      if (isa<PhiInst>(User))
-        return false; // the use sits on the incoming edge, not in a block
-      Block *UB = User->getBlock();
-      if (!UB || (Sink && Sink != UB))
-        return false;
-      Sink = UB;
-    }
-    if (!Sink || Sink == Home || !DT.isReachable(Sink) ||
-        !DT.dominates(Home, Sink) || LI.loopDepth(Sink) != 0)
-      return false;
+        InitStores.push_back(cast<StoreFieldInst>(User));
 
     // Replay the initializers in their original program order at the top
     // of the escape block; every stored value was defined in a block
@@ -276,7 +293,6 @@ private:
     Changed = true;
     ++Stats.AllocsSunk;
     ++allocs_sunk;
-    return true;
   }
 
   Function &F;

@@ -44,6 +44,31 @@ bool useEscapesAllocation(const NewInst *New, const Instruction *User);
 /// the rest of the program and may be scalar-replaced.
 bool allocationDoesNotEscape(NewInst *New);
 
+class DominatorTree;
+class LoopInfo;
+
+/// What partial escape analysis can make of an allocation.
+struct EscapeFate {
+  enum Kind {
+    Stays,   ///< Escapes in a way the phase cannot remove or move.
+    Dies,    ///< No escaping use: scalar-replaceable once loads forward.
+    SinksTo, ///< Every escape sits in Sink: materialize it there.
+  };
+  Kind K = Stays;
+  Block *Sink = nullptr; ///< The escape block (SinksTo only).
+};
+
+/// The one escape query shared by the phase and the Simulator, which asks
+/// it with \p DroppedUse set to the merge phi that duplication removes.
+/// Dies: no escaping use besides \p DroppedUse (field loads are ignored;
+/// read elimination and the virtual-object walk forward them). SinksTo(B):
+/// \p New's block and B are loop-free, every initializer store sits in
+/// \p New's block, no load remains, and every remaining escape is a
+/// non-phi in the one block B that \p New's block strictly dominates.
+EscapeFate escapeFate(NewInst *New, const DominatorTree &DT,
+                      const LoopInfo &LI,
+                      const Instruction *DroppedUse = nullptr);
+
 /// Per-function statistics for one PartialEscapePhase::run invocation.
 struct PartialEscapeStats {
   unsigned AllocationsTracked = 0; ///< allocations ever virtual on a path

@@ -102,9 +102,8 @@ public:
   bool run(Function &F) override;
 };
 
-/// Dead code elimination by mark-and-sweep, including allocation sinking /
-/// scalar replacement (paper §2 PEA): an allocation whose remaining uses
-/// are only stores into it is deleted together with those stores.
+/// Dead code elimination by mark-and-sweep from terminators, calls,
+/// invokes and stores. Scalar replacement is PartialEscapePhase's job.
 class DeadCodeElimination : public Phase {
 public:
   const char *name() const override { return "dce"; }

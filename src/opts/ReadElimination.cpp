@@ -14,8 +14,8 @@
 //
 // Fresh, non-escaping allocations additionally expose zero-initialized
 // fields and survive opaque calls; once duplication removes an
-// allocation's phi escape, load-forwarding plus DCE's allocation sinking
-// reproduce the paper's partial-escape-analysis effect (Listing 3/4).
+// allocation's phi escape, load-forwarding here and scalar replacement in
+// opts/PartialEscape reproduce the paper's PEA effect (Listing 3/4).
 //
 //===----------------------------------------------------------------------===//
 

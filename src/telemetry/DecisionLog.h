@@ -40,6 +40,16 @@ struct OpportunityCounts {
     return ConstantFolds + StrengthReductions + ConditionalEliminations +
            ReadEliminations + AllocationSinks + PartialEscapes;
   }
+
+  OpportunityCounts &operator+=(const OpportunityCounts &O) {
+    ConstantFolds += O.ConstantFolds;
+    StrengthReductions += O.StrengthReductions;
+    ConditionalEliminations += O.ConditionalEliminations;
+    ReadEliminations += O.ReadEliminations;
+    AllocationSinks += O.AllocationSinks;
+    PartialEscapes += O.PartialEscapes;
+    return *this;
+  }
 };
 
 /// Pass/fail of each clause of the §5.4 trade-off function

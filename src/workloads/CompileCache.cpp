@@ -100,7 +100,8 @@ CompileCacheKey dbds::computeCompileCacheKey(
 namespace {
 
 // v2: decision lines carry the partial_escapes opportunity count.
-constexpr const char *FormatHeader = "dbds-compile-cache v2";
+// v3: strength_reductions counts only opcode-changing rewrites.
+constexpr const char *FormatHeader = "dbds-compile-cache v3";
 
 uint64_t bitsOfDouble(double V) {
   uint64_t Bits;

@@ -49,7 +49,6 @@ DBDS_COUNTER(compile_service, crash_bundles_written);
 // compile_ns and peak_rss_bytes are wall-clock/allocator state and are
 // Timing-class (DESIGN.md §12).
 DBDS_HISTOGRAM(compile_service, ir_growth_pct, Percent, Deterministic);
-DBDS_HISTOGRAM(compile_service, block_growth_pct, Percent, Deterministic);
 DBDS_HISTOGRAM(compile_service, ir_bytes, Bytes, Deterministic);
 DBDS_HISTOGRAM(compile_service, compile_ns, Nanoseconds, Timing);
 DBDS_HISTOGRAM(compile_service, peak_rss_bytes, Bytes, Timing);
@@ -387,14 +386,10 @@ CompileBatch dbds::compileFunctionsParallel(CompileService &Service,
     }
     applyProfile(F, Profile);
 
-    // Pre-compile IR shape, the baseline for the duplication growth
-    // histograms. Counting walks the IR, so it stays behind the metrics
+    // Pre-compile IR size, the baseline for the duplication growth
+    // histogram. Counting walks the IR, so it stays behind the metrics
     // gate (the detached cost of this site is the one relaxed load).
-    uint64_t InstrsBefore = 0, BlocksBefore = 0;
-    if (Metered) {
-      InstrsBefore = F.instructionCount();
-      BlocksBefore = F.blocks().size();
-    }
+    const uint64_t InstrsBefore = Metered ? F.instructionCount() : 0;
 
     // Compile (timed) under a per-function budget. The budget degrades the
     // pipeline stepwise instead of letting one function hang the harness.
@@ -444,22 +439,17 @@ CompileBatch dbds::compileFunctionsParallel(CompileService &Service,
     Out.CodeSize = F.estimatedCodeSize();
 
     // Per-function IR growth across the whole middle end (pipeline +
-    // duplication), clamped at zero: the histograms measure duplication-
+    // duplication), clamped at zero: the histogram measures duplication-
     // driven *growth*; a net shrink (DCE-dominated functions) records 0.
     if (Metered) {
-      auto GrowthPct = [](uint64_t Before, uint64_t After) -> uint64_t {
-        if (Before == 0 || After <= Before)
-          return 0;
-        return (After - Before) * 100 / Before;
-      };
       const uint64_t InstrsAfter = F.instructionCount();
-      const uint64_t BlocksAfter = F.blocks().size();
-      ir_growth_pct.record(GrowthPct(InstrsBefore, InstrsAfter));
-      block_growth_pct.record(GrowthPct(BlocksBefore, BlocksAfter));
+      const uint64_t Growth =
+          InstrsAfter > InstrsBefore ? InstrsAfter - InstrsBefore : 0;
+      ir_growth_pct.record(InstrsBefore == 0 ? 0 : Growth * 100 / InstrsBefore);
       // Live IR node memory, estimated from node counts (a floor: derived
       // instruction classes and container slack are not counted).
       ir_bytes.record(InstrsAfter * sizeof(Instruction) +
-                      BlocksAfter * sizeof(Block));
+                      F.blocks().size() * sizeof(Block));
       compile_ns.record(CompileTimer.totalNs());
     }
     // Simulation audit: replay this task's decision slice against

@@ -548,19 +548,19 @@ TEST(CacheSerializationTest, TruncationIsAMiss) {
 TEST(CacheSerializationTest, VersionMismatchIsAMiss) {
   const CompileCacheKey Key = stableHash128("version");
   std::string Text = serializeCacheEntry(Key, makeRichEntry());
-  ASSERT_EQ(Text.compare(0, 21, "dbds-compile-cache v2"), 0);
-  // A hypothetical v3 writer with a *valid* checksum over its bytes: the
+  ASSERT_EQ(Text.compare(0, 21, "dbds-compile-cache v3"), 0);
+  // A hypothetical v4 writer with a *valid* checksum over its bytes: the
   // version check must run first and reject without touching the payload.
-  Text[20] = '3';
+  Text[20] = '4';
   const size_t ChecksumLine = Text.rfind("checksum ");
   ASSERT_NE(ChecksumLine, std::string::npos);
   std::string Body = Text.substr(0, ChecksumLine);
   char Line[32];
   snprintf(Line, sizeof(Line), "checksum %016llx\n",
            static_cast<unsigned long long>(stableHash64(Body)));
-  std::string V2 = Body + Line;
+  std::string V4 = Body + Line;
   CompileCacheEntry Out;
-  EXPECT_FALSE(parseCacheEntry(V2, Key, Out));
+  EXPECT_FALSE(parseCacheEntry(V4, Key, Out));
 }
 
 TEST(CacheSerializationTest, KeyMismatchIsAMiss) {
@@ -675,7 +675,7 @@ TEST(CacheStoreTest, VersionMismatchedDiskEntryIsAMiss) {
   const std::string Path = Writer.entryPath(Key);
   FILE *File = fopen(Path.c_str(), "r+b");
   ASSERT_NE(File, nullptr);
-  // "dbds-compile-cache v1" -> v9 in place.
+  // "dbds-compile-cache v3" -> v9 in place.
   ASSERT_EQ(fseek(File, 20, SEEK_SET), 0);
   fputc('9', File);
   fclose(File);

@@ -7,7 +7,6 @@
 #include "analysis/Verifier.h"
 #include "dbds/DBDSPhase.h"
 #include "frontend/Translator.h"
-#include "opts/Inliner.h"
 #include "opts/Phase.h"
 #include "vm/Interpreter.h"
 
@@ -287,56 +286,6 @@ Lmerge:
 
   EXPECT_EQ(runInt(*M, "foo", {5}), 7);
   EXPECT_EQ(runInt(*M, "foo", {-3}), 2);
-}
-
-TEST(TranslatorTest, InvokeBytecodeThroughInliningAndDBDS) {
-  // Two bytecode functions; the helper's branchy body inlines into main
-  // and DBDS specializes the merge — the whole §5.1 front end end to end.
-  auto M = compile(R"(
-bcfunc @clamp(1) {
-  load 0
-  iconst 0
-  cmp lt
-  brtrue Lneg
-  load 0
-  ret
-Lneg:
-  iconst 0
-  ret
-}
-
-bcfunc @main(1) {
-  load 0
-  iconst 255
-  and
-  invoke @clamp 1
-  iconst 1
-  add
-  ret
-}
-)");
-  ASSERT_TRUE(M);
-  Function *Main = M->getFunction("main");
-  ASSERT_NE(Main, nullptr);
-  Interpreter Interp(*M);
-  int64_t Before = Interp.run(*Main, ArrayRef<int64_t>({77})).Result.Scalar;
-  EXPECT_EQ(Before, (77 & 255) + 1);
-
-  EXPECT_EQ(inlineInvokes(*Main, *M), 1u);
-  PhaseManager PM = PhaseManager::standardPipeline(true, M.get());
-  PM.run(*Main);
-  DBDSConfig Config;
-  Config.ClassTable = M.get();
-  runDBDS(*Main, Config);
-  ASSERT_EQ(verifyFunction(*Main), "");
-  EXPECT_EQ(Interp.run(*Main, ArrayRef<int64_t>({77})).Result.Scalar,
-            Before);
-  // The inlined clamp branch folds away under the [0,255] stamp.
-  unsigned Ifs = 0;
-  for (Block *B : Main->blocks())
-    for (Instruction *I : *B)
-      Ifs += isa<IfInst>(I) ? 1 : 0;
-  EXPECT_EQ(Ifs, 0u);
 }
 
 TEST(BytecodeAssemblerTest, InvokeRoundTrips) {

@@ -570,28 +570,6 @@ b2:
   EXPECT_EQ(countOpcode(*P.F, Opcode::Phi), 1u); // only %i survives
 }
 
-TEST(DCETest, AllocationSinking) {
-  // A never-escaping allocation kept alive only by its own initializing
-  // stores dies with them (paper Listing 3/4 after duplication).
-  Parsed P = parse(R"(
-class A 2
-
-func @f(int) {
-b0:
-  %v = param 0
-  %o = new 0
-  store %o, 0, %v
-  store %o, 1, %v
-  ret %v
-}
-)");
-  DeadCodeElimination DCE;
-  DCE.run(*P.F);
-  ASSERT_EQ(verifyFunction(*P.F), "");
-  EXPECT_EQ(countOpcode(*P.F, Opcode::New), 0u);
-  EXPECT_EQ(countOpcode(*P.F, Opcode::StoreField), 0u);
-}
-
 TEST(DCETest, EscapingAllocationIsNotSunk) {
   Parsed P = parse(R"(
 class A 2

@@ -12,6 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/DominatorTree.h"
+#include "analysis/Loops.h"
 #include "analysis/SimAudit.h"
 #include "analysis/Verifier.h"
 #include "dbds/DBDSPhase.h"
@@ -183,6 +185,31 @@ b0:
   ExecutionResult E = Interp.run(*P.F, ArrayRef<RuntimeValue>(Args, 1));
   ASSERT_TRUE(E.Ok);
   EXPECT_EQ(E.Result.Scalar, 42);
+}
+
+// An allocation kept alive only by its initializing stores dies with them
+// (paper Listing 3/4 after duplication).
+TEST(PartialEscapePhaseTest, ScalarReplacesStoreOnlyAllocation) {
+  Parsed P = parse(R"(
+class A 2
+
+func @f(int) {
+b0:
+  %v = param 0
+  %o = new 0
+  store %o, 0, %v
+  store %o, 1, %v
+  ret %v
+}
+)");
+  PartialEscapeStats Stats;
+  PartialEscapePhase Phase(P.Mod.get());
+  EXPECT_TRUE(Phase.run(*P.F, Stats));
+  ASSERT_EQ(verifyFunction(*P.F), "");
+  EXPECT_EQ(Stats.AllocsScalarReplaced, 1u);
+  EXPECT_EQ(Stats.StoresEliminated, 2u);
+  EXPECT_EQ(countOpcode(*P.F, Opcode::New), 0u);
+  EXPECT_EQ(countOpcode(*P.F, Opcode::StoreField), 0u);
 }
 
 TEST(PartialEscapePhaseTest, UnwrittenFieldForwardsAsZero) {
@@ -377,20 +404,29 @@ b3:
 }
 )";
 
+/// escapeFate for the one allocation of \p P, asked the way the Simulator
+/// asks it (merge phi dropped) or the way the phase does (nothing dropped).
+EscapeFate fateOf(Parsed &P, bool DropPhi) {
+  DominatorTree DT(*P.F);
+  LoopInfo LI(*P.F, DT);
+  return escapeFate(findNew(*P.F), DT, LI,
+                    DropPhi ? findFirst(*P.F, Opcode::Phi) : nullptr);
+}
+
 TEST(SimulatorPEATest, Listing3PricesTheFullUnescape) {
   Parsed P = parse(paper::Listing3);
   SimulationStats Stats;
   simulateDuplications(*P.F, P.Mod.get(), &Stats);
-  EXPECT_GE(Stats.AllocationSinks, 1u);
-  EXPECT_EQ(Stats.PartialEscapes, 0u);
+  EXPECT_GE(Stats.Opportunities.AllocationSinks, 1u);
+  EXPECT_EQ(Stats.Opportunities.PartialEscapes, 0u);
 }
 
 TEST(SimulatorPEATest, ResidualEscapePricesAsPartialEscape) {
   Parsed P = parse(PartialEscapeShape);
   SimulationStats Stats;
   simulateDuplications(*P.F, P.Mod.get(), &Stats);
-  EXPECT_GE(Stats.PartialEscapes, 1u);
-  EXPECT_EQ(Stats.AllocationSinks, 0u);
+  EXPECT_GE(Stats.Opportunities.PartialEscapes, 1u);
+  EXPECT_EQ(Stats.Opportunities.AllocationSinks, 0u);
 }
 
 // ---- §5.2 paper-example regression --------------------------------------
@@ -405,8 +441,12 @@ TEST(PEARegressionTest, Listing3ScalarReplacedOnlyUnderDBDS) {
   EXPECT_EQ(verifyFunction(*Baseline.F), "");
   EXPECT_EQ(countOpcode(*Baseline.F, Opcode::New), 1u);
 
-  // DBDS duplicates the merge away; PEA then scalar-replaces.
+  // The price: once duplication drops the phi, the allocation dies.
   Parsed P = parse(paper::Listing3);
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/false).K, EscapeFate::Stays);
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/true).K, EscapeFate::Dies);
+
+  // The delivery: DBDS duplicates the merge away; PEA scalar-replaces.
   DecisionLog Log;
   DBDSConfig Config;
   Config.ClassTable = P.Mod.get();
@@ -446,14 +486,25 @@ TEST(PEARegressionTest, Listing3ScalarReplacedOnlyUnderDBDS) {
 }
 
 TEST(PEARegressionTest, ResidualEscapeShapeSinksUnderDBDS) {
+  // The price: once duplication drops the phi, the allocation sinks into
+  // the call's block.
   Parsed P = parse(PartialEscapeShape);
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/false).K, EscapeFate::Stays);
+  EscapeFate Priced = fateOf(P, /*DropPhi=*/true);
+  ASSERT_EQ(Priced.K, EscapeFate::SinksTo);
+  EXPECT_EQ(Priced.Sink, findFirst(*P.F, Opcode::Call)->getBlock());
+  const unsigned SinkId = Priced.Sink->getId();
+
   DBDSConfig Config;
   Config.ClassTable = P.Mod.get();
   runDBDS(*P.F, Config);
   EXPECT_EQ(verifyFunction(*P.F), "");
-  // Duplication removed the phi; the allocation then materialized lazily
-  // in its escape block, so the entry path is allocation-free.
+  // The delivery: duplication removed the phi; the allocation then
+  // materialized lazily in exactly the priced block, so the entry path is
+  // allocation-free.
   EXPECT_EQ(countOpcode(P.F->getEntry(), Opcode::New), 0u);
+  ASSERT_EQ(countOpcode(*P.F, Opcode::New), 1u);
+  EXPECT_EQ(findNew(*P.F)->getBlock()->getId(), SinkId);
 }
 
 // ---- --jobs determinism -------------------------------------------------
