@@ -63,10 +63,7 @@ inline DriverOptionsParser makeFigureParser(DriverOptions &D) {
   return DriverOptionsParser(
       D, {DriverFlag::Trace, DriverFlag::Remarks, DriverFlag::Counters,
           DriverFlag::JsonOut, DriverFlag::Jobs, DriverFlag::Metrics,
-          DriverFlag::Flamegraph, DriverFlag::PollMask,
-          DriverFlag::MaxAttempts, DriverFlag::TaskDeadlineMs,
-          DriverFlag::BreakerThreshold, DriverFlag::BreakerHalfOpen,
-          DriverFlag::CrashBundleDir, DriverFlag::SimAudit,
+          DriverFlag::Flamegraph, DriverFlag::SimAudit,
           DriverFlag::CompileCache, DriverFlag::CacheDir});
 }
 

@@ -43,10 +43,7 @@ int main(int argc, char **argv) {
   DriverOptions D;
   D.JsonOutDefault = "BENCH_headline.json";
   DriverOptionsParser P(
-      D, {DriverFlag::Jobs, DriverFlag::Metrics, DriverFlag::PollMask,
-          DriverFlag::JsonOut, DriverFlag::MaxAttempts,
-          DriverFlag::TaskDeadlineMs, DriverFlag::BreakerThreshold,
-          DriverFlag::BreakerHalfOpen, DriverFlag::CrashBundleDir,
+      D, {DriverFlag::Jobs, DriverFlag::Metrics, DriverFlag::JsonOut,
           DriverFlag::SimAudit, DriverFlag::CompileCache,
           DriverFlag::CacheDir});
   std::string ComparePath;

@@ -18,12 +18,9 @@
 #include "telemetry/DecisionLog.h"
 
 #include <cstdint>
-#include <string>
-#include <unordered_set>
 
 namespace dbds {
 
-class CancellationToken;
 class CompileBudget;
 class DiagnosticEngine;
 class FaultInjector;
@@ -122,15 +119,6 @@ struct DBDSConfig {
   /// Optional per-function wall-clock budget (not owned). When it expires,
   /// DBDS stops duplicating and records DegradationLevel::NoDBDS.
   CompileBudget *Budget = nullptr;
-
-  /// Optional cooperative cancellation token (not owned). Checked between
-  /// iterations and candidates; once it fires, DBDS stops at that
-  /// checkpoint with the last known-good IR in place.
-  CancellationToken *Cancel = nullptr;
-
-  /// Optional set of phase names disabled by the service's circuit breaker
-  /// (not owned); forwarded to the cleanup pipeline.
-  const std::unordered_set<std::string> *DisabledPhases = nullptr;
 
   /// Optional sink for per-candidate duplication decisions (not owned).
   /// When set, every candidate the trade-off tier rules on is recorded

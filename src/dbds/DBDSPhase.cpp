@@ -14,7 +14,6 @@
 #include "dbds/Simulator.h"
 #include "opts/Phase.h"
 #include "support/Budget.h"
-#include "support/Cancellation.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 #include "support/Timer.h"
@@ -39,8 +38,8 @@ DBDS_COUNTER(dbds, candidates_stale);
 // the duplication pass's compile time divides between simulation,
 // trade-off, and optimization. candidates_per_iteration is a property of
 // the IR alone, so it participates in the determinism contract — samples
-// from budget-expired/cancelled runs are dropped (see runDBDS) because
-// their count depends on supervision timing.
+// from budget-expired runs are dropped (see runDBDS) because their count
+// depends on wall-clock timing.
 DBDS_HISTOGRAM(dbds, simulate_ns, Nanoseconds, Timing);
 DBDS_HISTOGRAM(dbds, tradeoff_ns, Nanoseconds, Timing);
 DBDS_HISTOGRAM(dbds, optimize_ns, Nanoseconds, Timing);
@@ -102,8 +101,6 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
   Cleanup.setFailFast(Config.FailFast);
   Cleanup.setDiagnostics(Config.Diags);
   Cleanup.setBudget(Config.Budget);
-  Cleanup.setCancellation(Config.Cancel);
-  Cleanup.setDisabledPhases(Config.DisabledPhases);
 
   // Transactional mode: each duplication round runs against a pre-round
   // snapshot; a verifier failure rolls the whole round back and stops DBDS
@@ -126,33 +123,20 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
     return true;
   };
 
-  auto cancelled = [&Result, &Config, &F]() {
-    if (!Config.Cancel || !Config.Cancel->checkpoint())
-      return false;
-    if (!Result.Cancelled && Config.Diags)
-      Config.Diags->note("dbds", F.getName(),
-                         std::string("compilation cancelled (") +
-                             cancelReasonName(Config.Cancel->reason()) +
-                             "); dropping duplication");
-    Result.Cancelled = true;
-    return true;
-  };
-
   // candidates_per_iteration is Deterministic-class, but how many
   // iterations run — and therefore how many samples exist — depends on
-  // where the wall-clock budget or a cancellation happened to land. Buffer
-  // the per-iteration counts and publish them only for runs supervision
-  // did not cut short, mirroring the interpreter's run_steps rule.
+  // where the wall-clock budget happened to land. Buffer the per-iteration
+  // counts and publish them only for runs the budget did not cut short.
   std::vector<uint64_t> CandidateSamples;
   auto flushCandidateSamples = [&Result, &CandidateSamples]() {
-    if (Result.BudgetExpired || Result.Cancelled)
+    if (Result.BudgetExpired)
       return;
     for (uint64_t N : CandidateSamples)
       candidates_per_iteration.record(N);
   };
 
   for (unsigned Iter = 0; Iter != Config.MaxIterations; ++Iter) {
-    if (budgetExpired() || cancelled())
+    if (budgetExpired())
       break;
     ++Result.IterationsRun;
     ++iterations_run;
@@ -172,8 +156,7 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
       uint64_t T0 = Metered ? Timer::nowNs() : 0;
       Candidates = simulateDuplications(
           F, Config.ClassTable, /*Stats=*/nullptr,
-          /*MaxPathLength=*/Config.EnablePathDuplication ? 2 : 1,
-          Config.Cancel);
+          /*MaxPathLength=*/Config.EnablePathDuplication ? 2 : 1);
       if (Metered)
         simulate_ns.record(Timer::nowNs() - T0);
     }
@@ -238,19 +221,11 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
       if (!Config.Verify)
         return true;
       // Fault injection point: deterministically corrupt the IR right
-      // after a duplication to exercise the rollback machinery.
-      if (Config.Injector) {
-        switch (Config.Injector->at("dbds-duplicate")) {
-        case FaultKind::CorruptIR:
-          corruptFunctionIR(F, Config.Injector->entropy());
-          break;
-        case FaultKind::Hang:
-          hangUntilCancelled(Config.Cancel);
-          break;
-        default:
-          break; // PhaseFailure/ResourceExhaustion: not duplication faults.
-        }
-      }
+      // after a duplication to exercise the rollback machinery
+      // (PhaseFailure is not a duplication fault).
+      if (Config.Injector &&
+          Config.Injector->at("dbds-duplicate") == FaultKind::CorruptIR)
+        corruptFunctionIR(F, Config.Injector->entropy());
       std::string Error = checkAfterMutation(F, When, Config);
       if (Error.empty())
         return true;
@@ -275,7 +250,7 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
                          : std::string());
     uint64_t OptT0 = Metered ? Timer::nowNs() : 0;
     for (const DuplicationCandidate &C : Candidates) {
-      if (budgetExpired() || cancelled())
+      if (budgetExpired())
         break;
       Block *M = nullptr, *P = nullptr;
       if (!candidateStillValid(F, C, M, P)) {
@@ -316,8 +291,7 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
           continue;
         }
       }
-      if (!duplicateIntoPredecessor(F, M, P, Config.Cancel))
-        break; // Cancelled before the transformation started; IR untouched.
+      duplicateIntoPredecessor(F, M, P);
       if (!verifyOrRollback("after duplication")) {
         if (DL) {
           DuplicationDecision D = makeDecision(C, CurrentSize);
@@ -342,8 +316,8 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
         DominatorTree DT(F);
         LoopInfo LI(F, DT);
         if (M2 && canDuplicateInto(M2, P) && DT.isReachable(M2) &&
-            !LI.isLoopHeader(M2) &&
-            duplicateIntoPredecessor(F, M2, P, Config.Cancel)) {
+            !LI.isLoopHeader(M2)) {
+          duplicateIntoPredecessor(F, M2, P);
           if (!verifyOrRollback("after path duplication")) {
             if (DL) {
               DuplicationDecision D = makeDecision(C, CurrentSize);

@@ -35,10 +35,6 @@ struct DBDSResult {
   /// True when the compile budget expired and DBDS stopped early (the
   /// budget, if any, is degraded to DegradationLevel::NoDBDS).
   bool BudgetExpired = false;
-  /// True when the cancellation token fired and DBDS stopped at a safe
-  /// checkpoint (the IR is whole; partial rounds were rolled forward or
-  /// back, never left half-applied).
-  bool Cancelled = false;
 };
 
 /// Runs the DBDS algorithm on \p F with \p Config. The dupalot

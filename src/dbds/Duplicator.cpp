@@ -7,7 +7,6 @@
 #include "dbds/Duplicator.h"
 
 #include "analysis/DominatorTree.h"
-#include "support/Cancellation.h"
 #include "support/ErrorHandling.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Json.h"
@@ -270,12 +269,4 @@ void dbds::duplicateIntoPredecessor(Function &F, Block *M, Block *P) {
       continue;
     reconstructSSA(F, DT, M, P, I, ValueMap.at(I));
   }
-}
-
-bool dbds::duplicateIntoPredecessor(Function &F, Block *M, Block *P,
-                                    CancellationToken *Cancel) {
-  if (Cancel && Cancel->checkpoint())
-    return false;
-  duplicateIntoPredecessor(F, M, P);
-  return true;
 }

@@ -22,8 +22,6 @@
 
 namespace dbds {
 
-class CancellationToken;
-
 /// True if duplicating \p M into its predecessor \p P is structurally
 /// possible: M is a merge, P ends with a jump to M, P != M, and M is not a
 /// loop header (checked by the caller via LoopInfo; this predicate covers
@@ -36,13 +34,6 @@ bool canDuplicateInto(Block *M, Block *P);
 /// Leaves the function verifier-clean; follow-up folding is the cleanup
 /// pipeline's job.
 void duplicateIntoPredecessor(Function &F, Block *M, Block *P);
-
-/// Token-aware variant: checks \p Cancel before starting and returns false
-/// without touching the IR when the task was cancelled (the transformation
-/// itself is atomic — it cannot be interrupted midway). Returns true when
-/// the duplication was performed.
-bool duplicateIntoPredecessor(Function &F, Block *M, Block *P,
-                              CancellationToken *Cancel);
 
 } // namespace dbds
 

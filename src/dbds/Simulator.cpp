@@ -9,7 +9,6 @@
 #include "analysis/BlockFrequency.h"
 #include "analysis/DominatorTree.h"
 #include "opts/Canonicalize.h"
-#include "support/Cancellation.h"
 #include "opts/MemoryState.h"
 #include "opts/PartialEscape.h"
 #include "opts/ScopedStamps.h"
@@ -37,10 +36,9 @@ namespace {
 class SimulationDriver {
 public:
   SimulationDriver(Function &F, const Module *ClassTable,
-                   SimulationStats *Stats, unsigned MaxPathLength,
-                   CancellationToken *Cancel)
+                   SimulationStats *Stats, unsigned MaxPathLength)
       : F(F), ClassTable(ClassTable), Stats(Stats),
-        MaxPathLength(MaxPathLength), Cancel(Cancel), DT(F), LI(F, DT),
+        MaxPathLength(MaxPathLength), DT(F), LI(F, DT),
         Freq(BlockFrequency::computeStatic(F, DT, LI)), Scope(Stamps) {}
 
   std::vector<DuplicationCandidate> run() {
@@ -81,11 +79,6 @@ private:
   /// Main traversal: mirrors CE + read elimination context building, read
   /// only. \p State is the memory knowledge at block entry.
   void visit(Block *B, MemoryState State) {
-    // Cancellation checkpoint: a cancelled attempt's partial candidate
-    // list is discarded by the retry ladder, so stopping mid-walk is safe
-    // (the simulation mutates no IR; scratch cleanup still runs in run()).
-    if (Cancel && Cancel->checkpoint())
-      return;
     ScopedStamps::UndoLog Undo;
     if (Block *Idom = DT.getIdom(B)) {
       if (B->getNumPreds() == 1 && B->preds()[0] == Idom) {
@@ -376,7 +369,6 @@ private:
   const Module *ClassTable;
   SimulationStats *Stats;
   unsigned MaxPathLength;
-  CancellationToken *Cancel;
   DominatorTree DT;
   LoopInfo LI;
   BlockFrequency Freq;
@@ -390,9 +382,8 @@ private:
 
 std::vector<DuplicationCandidate>
 dbds::simulateDuplications(Function &F, const Module *ClassTable,
-                           SimulationStats *Stats, unsigned MaxPathLength,
-                           CancellationToken *Cancel) {
+                           SimulationStats *Stats, unsigned MaxPathLength) {
   assert(MaxPathLength >= 1 && "at least the merge itself is simulated");
-  SimulationDriver Driver(F, ClassTable, Stats, MaxPathLength, Cancel);
+  SimulationDriver Driver(F, ClassTable, Stats, MaxPathLength);
   return Driver.run();
 }

@@ -28,8 +28,6 @@
 
 namespace dbds {
 
-class CancellationToken;
-
 /// Aggregate details of what the simulation saw (exposed for tests and
 /// the ablation benches).
 struct SimulationStats {
@@ -47,15 +45,10 @@ struct SimulationStats {
 /// that ends in a jump to another merge (paper §8: "the simulation tier
 /// can simulate along paths"), emitting a separate path candidate when
 /// the extension discovered extra benefit.
-/// \p Cancel, when non-null, is polled during the dominator-tree walk;
-/// once it fires the traversal stops and the candidates found so far are
-/// returned (a cancelled attempt's partial candidate list is fine — the
-/// simulation mutates no IR).
 std::vector<DuplicationCandidate>
 simulateDuplications(Function &F, const Module *ClassTable,
                      SimulationStats *Stats = nullptr,
-                     unsigned MaxPathLength = 1,
-                     CancellationToken *Cancel = nullptr);
+                     unsigned MaxPathLength = 1);
 
 } // namespace dbds
 

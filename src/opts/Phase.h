@@ -27,7 +27,6 @@
 
 namespace dbds {
 
-class CancellationToken;
 class CompileBudget;
 class DiagnosticEngine;
 class FaultInjector;
@@ -166,23 +165,6 @@ public:
   /// degraded to DegradationLevel::NoFixpoint.
   void setBudget(CompileBudget *B) { Budget = B; }
 
-  /// Optional cooperative cancellation token (not owned). Checked at the
-  /// top of every round and before every phase; once it fires, the
-  /// pipeline stops at that checkpoint (the function is always left whole
-  /// — phases are never interrupted mid-transformation).
-  void setCancellation(CancellationToken *C) { Cancel = C; }
-
-  /// True if the last run() stopped early because the cancellation token
-  /// fired.
-  bool wasCancelled() const { return Cancelled; }
-
-  /// Optional set of phase names disabled by the service's per-phase
-  /// circuit breaker (not owned). Disabled phases are skipped like
-  /// quarantined ones, but module-wide rather than per-function.
-  void setDisabledPhases(const std::unordered_set<std::string> *D) {
-    DisabledPhases = D;
-  }
-
   // ---- Phase-effect auditing -------------------------------------------
 
   /// Enables audit mode with \p L (not owned): every phase's output is
@@ -204,14 +186,6 @@ public:
   /// Phases rolled back over the manager's lifetime.
   unsigned rollbackCount() const { return Rollbacks; }
 
-  /// Names of the phases quarantined over the manager's lifetime, one
-  /// entry per rollback, in occurrence order. The service's circuit
-  /// breaker folds these per-task lists in function-index order, so its
-  /// trip decisions stay schedule-independent.
-  const std::vector<std::string> &quarantineEvents() const {
-    return QuarantineEvents;
-  }
-
   /// True if \p PhaseIdx is quarantined for the function named \p Fn.
   bool isQuarantined(const std::string &Fn, unsigned PhaseIdx) const {
     auto It = Quarantined.find(Fn);
@@ -225,13 +199,9 @@ private:
   DiagnosticEngine *Diags = nullptr;
   FaultInjector *Injector = nullptr;
   CompileBudget *Budget = nullptr;
-  CancellationToken *Cancel = nullptr;
-  const std::unordered_set<std::string> *DisabledPhases = nullptr;
   const Linter *Audit = nullptr;
   AuditOracle Oracle;
   unsigned Rollbacks = 0;
-  bool Cancelled = false;
-  std::vector<std::string> QuarantineEvents;
   /// Function name -> indices of phases that broke that function once and
   /// are skipped for it from then on.
   std::unordered_map<std::string, std::unordered_set<unsigned>> Quarantined;

@@ -9,7 +9,6 @@
 #include "opts/PartialEscape.h"
 #include "opts/Phase.h"
 #include "support/Budget.h"
-#include "support/Cancellation.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 #include "support/Timer.h"
@@ -27,7 +26,6 @@ DBDS_COUNTER(phase_manager, phases_run);
 DBDS_COUNTER(phase_manager, rounds_run);
 DBDS_COUNTER(phase_manager, phase_rollbacks);
 DBDS_COUNTER(phase_manager, phases_quarantined_skipped);
-DBDS_COUNTER(phase_manager, phases_breaker_skipped);
 
 bool dbds::corruptFunctionIR(Function &F, uint64_t Entropy) {
   // Preferred corruption: drop one phi input, breaking the phi/predecessor
@@ -67,25 +65,7 @@ bool PhaseManager::run(Function &F, unsigned MaxRounds) {
                          TS ? "\"function\":" + jsonString(F.getName())
                             : std::string());
 
-  // Cancellation checkpoint: polls the token (deadline included) and, on
-  // the first hit, records why the pipeline is stopping. Phases are never
-  // interrupted mid-transformation, so the IR stays verifier-clean.
-  Cancelled = false;
-  auto CancelledNow = [&]() {
-    if (!Cancel || !Cancel->checkpoint())
-      return false;
-    if (!Cancelled && Diags)
-      Diags->note("phase-manager", F.getName(),
-                  std::string("compilation cancelled (") +
-                      cancelReasonName(Cancel->reason()) +
-                      "); stopping pipeline");
-    Cancelled = true;
-    return true;
-  };
-
   for (unsigned Round = 0; Round != MaxRounds; ++Round) {
-    if (CancelledNow())
-      break;
     ++rounds_run;
     // Budget gate: the first round always runs (every function gets at
     // least the single-round baseline pipeline), further fixpoint rounds
@@ -103,12 +83,6 @@ bool PhaseManager::run(Function &F, unsigned MaxRounds) {
     bool RoundChanged = false;
     for (unsigned Idx = 0; Idx != Phases.size(); ++Idx) {
       const auto &P = Phases[Idx];
-      if (CancelledNow())
-        break;
-      if (DisabledPhases && DisabledPhases->count(P->name())) {
-        ++phases_breaker_skipped;
-        continue;
-      }
       if (isQuarantined(F.getName(), Idx)) {
         ++phases_quarantined_skipped;
         continue;
@@ -172,14 +146,6 @@ bool PhaseManager::run(Function &F, unsigned MaxRounds) {
         case FaultKind::PhaseFailure:
           ForcedFailure = true;
           break;
-        case FaultKind::Hang:
-          // Containment probe: spins until the token's deadline breaks it.
-          // Without a token (or without a deadline armed) this is a no-op,
-          // so an injected hang cannot wedge an unsupervised pipeline.
-          hangUntilCancelled(Cancel);
-          break;
-        case FaultKind::ResourceExhaustion:
-          break; // Interpreter-tier fault; no effect at a phase site.
         }
       }
 
@@ -233,7 +199,6 @@ bool PhaseManager::run(Function &F, unsigned MaxRounds) {
           assert(verifyFunction(F).empty() &&
                  "rollback restored an invalid snapshot");
           Quarantined[F.getName()].insert(Idx);
-          QuarantineEvents.push_back(P->name());
           ++Rollbacks;
           ++phase_rollbacks;
           if (Auditing) {

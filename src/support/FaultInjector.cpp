@@ -15,19 +15,6 @@ FaultKind FaultInjector::at(const char *Site) {
   if (!Gen.nextBool(Rate))
     return FaultKind::None;
   ++Injected;
-  // Fired faults cycle through the enabled kinds in FaultKind order. With
-  // the legacy mask this is exactly the historical CorruptIR/PhaseFailure
-  // alternation (fault #1 corrupts), so pre-supervision streams replay
-  // unchanged.
-  static constexpr FaultKind Order[] = {
-      FaultKind::CorruptIR, FaultKind::PhaseFailure, FaultKind::Hang,
-      FaultKind::ResourceExhaustion};
-  static constexpr unsigned Bits[] = {MaskCorruptIR, MaskPhaseFailure,
-                                      MaskHang, MaskResourceExhaustion};
-  FaultKind Cycle[4];
-  unsigned Enabled = 0;
-  for (unsigned I = 0; I != 4; ++I)
-    if (Mask & Bits[I])
-      Cycle[Enabled++] = Order[I];
-  return Cycle[(Injected - 1) % Enabled];
+  // Fired faults alternate, starting with IR corruption (fault #1 corrupts).
+  return Injected % 2 == 1 ? FaultKind::CorruptIR : FaultKind::PhaseFailure;
 }

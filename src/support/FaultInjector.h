@@ -30,8 +30,6 @@ enum class FaultKind : uint8_t {
   None,         ///< No fault at this site.
   CorruptIR,    ///< Structurally corrupt the function (verifier-visible).
   PhaseFailure, ///< Report the phase as failed without touching the IR.
-  Hang,         ///< Spin at the site until the task's deadline cancels it.
-  ResourceExhaustion, ///< Starve the next interpreter run of fuel.
 };
 
 inline const char *faultKindName(FaultKind K) {
@@ -42,37 +40,16 @@ inline const char *faultKindName(FaultKind K) {
     return "corrupt-ir";
   case FaultKind::PhaseFailure:
     return "phase-failure";
-  case FaultKind::Hang:
-    return "hang";
-  case FaultKind::ResourceExhaustion:
-    return "resource-exhaustion";
   }
   return "?";
 }
 
 /// Deterministic fault source. \p Rate is the per-site firing probability;
-/// fired faults cycle deterministically through the kinds enabled by the
-/// injector's kind mask (the legacy mask alternates IR corruption and
-/// forced phase failure; Hang and ResourceExhaustion are opt-in so
-/// pre-supervision fault streams replay unchanged).
+/// fired faults alternate between IR corruption and forced phase failure.
 class FaultInjector {
 public:
-  // Kind-mask bits. Ordered like FaultKind; the fired-fault cycle walks
-  // the enabled kinds in this order.
-  static constexpr unsigned MaskCorruptIR = 1u << 0;
-  static constexpr unsigned MaskPhaseFailure = 1u << 1;
-  static constexpr unsigned MaskHang = 1u << 2;
-  static constexpr unsigned MaskResourceExhaustion = 1u << 3;
-  static constexpr unsigned MaskLegacy = MaskCorruptIR | MaskPhaseFailure;
-  static constexpr unsigned MaskAll =
-      MaskLegacy | MaskHang | MaskResourceExhaustion;
-
-  explicit FaultInjector(uint64_t Seed, double Rate = 0.25,
-                         unsigned KindMask = MaskLegacy)
-      : Seed(Seed), Gen(Seed), Rate(Rate), Mask(KindMask) {
-    assert(KindMask != 0 && (KindMask & ~MaskAll) == 0 &&
-           "invalid fault-kind mask");
-  }
+  explicit FaultInjector(uint64_t Seed, double Rate = 0.25)
+      : Seed(Seed), Gen(Seed), Rate(Rate) {}
 
   /// Decides whether a fault fires at the named injection point. Advances
   /// the deterministic decision stream by one step.
@@ -84,23 +61,17 @@ public:
 
   uint64_t seed() const { return Seed; }
   double rate() const { return Rate; }
-  unsigned kindMask() const { return Mask; }
   unsigned sitesVisited() const { return Sites; }
   unsigned faultsInjected() const { return Injected; }
 
-  /// Derives the independent injector for parallel task \p Index, attempt
-  /// \p Attempt of the retry ladder: seeded from (seed, Index, Attempt)
-  /// only, so a task's fault stream is the same regardless of which worker
-  /// runs it, in which order, at which --jobs level — the per-task
-  /// RNG-stream rule of the compile service — and each retry attempt gets
-  /// a fresh, independent stream. Attempt 0 reproduces the historical
-  /// forTask(Index) stream exactly. The decision stream starts fresh (zero
-  /// counts); the kind mask is inherited.
-  FaultInjector forTask(uint64_t Index, unsigned Attempt = 0) const {
+  /// Derives the independent injector for parallel task \p Index: seeded
+  /// from (seed, Index) only, so a task's fault stream is the same
+  /// regardless of which worker runs it, in which order, at which --jobs
+  /// level — the per-task RNG-stream rule of the compile service. The
+  /// decision stream starts fresh (zero counts).
+  FaultInjector forTask(uint64_t Index) const {
     SplitMix64 Mix(Seed ^ (0x9e3779b97f4a7c15ULL * (Index + 1)));
-    for (unsigned I = 0; I != Attempt; ++I)
-      (void)Mix.next();
-    return FaultInjector(Mix.next(), Rate, Mask);
+    return FaultInjector(Mix.next(), Rate);
   }
 
   /// Folds a finished task injector's site/fault counts back into this
@@ -122,7 +93,6 @@ private:
   uint64_t Seed;
   RNG Gen;
   double Rate;
-  unsigned Mask;
   unsigned Sites = 0;
   unsigned Injected = 0;
 };

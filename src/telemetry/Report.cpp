@@ -50,17 +50,6 @@ std::string renderConfig(const ConfigMeasurement &C) {
   Out += ",\"functions_degraded\":" + jsonNumber(C.FunctionsDegraded);
   Out += ",\"max_degradation\":" +
          jsonString(degradationLevelName(C.MaxDegradation));
-  Out += ",\"retries\":" + jsonNumber(C.Retries);
-  Out += ",\"tasks_exhausted\":" + jsonNumber(C.TasksExhausted);
-  if (!C.BreakerTrips.empty()) {
-    Out += ",\"breaker_trips\":[";
-    for (size_t I = 0; I != C.BreakerTrips.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += jsonString(C.BreakerTrips[I]);
-    }
-    Out += "]";
-  }
   if (!C.Counters.empty())
     Out += ",\"counters\":" + CounterRegistry::renderJson(C.Counters);
   if (C.Audit.Ran)

@@ -22,8 +22,6 @@
 ///           "dynamic_cycles", "compile_time_ms", "code_size",
 ///           "duplications", "rollbacks", "run_failures",
 ///           "functions_degraded", "max_degradation",
-///           "retries", "tasks_exhausted",
-///           "breaker_trips": ["<phase> after K ..."],    // optional
 ///           "counters": {"component.name": delta, ...}   // optional
 ///         }},
 ///       "vs_baseline": {"dbds" | "dupalot":

@@ -32,8 +32,6 @@ struct FlagInfo {
 constexpr FlagInfo FlagTable[] = {
     {DriverFlag::Jobs, "--jobs", ArgKind::Required, "N",
      "worker threads (0 = one per hardware thread; default 1)"},
-    {DriverFlag::PollMask, "--poll-mask", ArgKind::Required, "N",
-     "interpreter cancellation-poll stride (power of two, default 128)"},
     {DriverFlag::Metrics, "--metrics", ArgKind::None, nullptr,
      "histogram metrics registry: percentile table after the run"},
     {DriverFlag::Counters, "--counters", ArgKind::None, nullptr,
@@ -46,16 +44,6 @@ constexpr FlagInfo FlagTable[] = {
      "write a collapsed-stack profile folded from the trace spans"},
     {DriverFlag::JsonOut, "--json-out", ArgKind::Optional, "FILE",
      "write the machine-readable bench report (default name without =FILE)"},
-    {DriverFlag::MaxAttempts, "--max-attempts", ArgKind::Required, "N",
-     "retry ladder depth per task (1-3; 1 = no retries)"},
-    {DriverFlag::TaskDeadlineMs, "--task-deadline-ms", ArgKind::Required,
-     "MS", "per-attempt wall-clock deadline in milliseconds"},
-    {DriverFlag::BreakerThreshold, "--breaker-threshold", ArgKind::Required,
-     "N", "per-phase circuit breaker trip count (0 = off)"},
-    {DriverFlag::BreakerHalfOpen, "--breaker-half-open", ArgKind::Required,
-     "N", "re-enable a tripped phase after N clean tasks"},
-    {DriverFlag::CrashBundleDir, "--crash-bundle-dir", ArgKind::Required,
-     "DIR", "write crash bundles for exhausted tasks below DIR"},
     {DriverFlag::SimAudit, "--simaudit", ArgKind::None, nullptr,
      "audit simulator predictions against post-DBDS dataflow facts"},
     {DriverFlag::CompileCache, "--compile-cache", ArgKind::Optional, "DIR",
@@ -100,9 +88,6 @@ void applyFlag(DriverOptions &O, DriverFlag Flag, const char *Value) {
   case DriverFlag::Jobs:
     O.Jobs = static_cast<unsigned>(strtoul(Value, nullptr, 10));
     break;
-  case DriverFlag::PollMask:
-    O.PollInterval = static_cast<unsigned>(strtoul(Value, nullptr, 10));
-    break;
   case DriverFlag::Metrics:
     O.Metrics = true;
     break;
@@ -120,22 +105,6 @@ void applyFlag(DriverOptions &O, DriverFlag Flag, const char *Value) {
     break;
   case DriverFlag::JsonOut:
     O.JsonOutPath = Value ? Value : O.JsonOutDefault;
-    break;
-  case DriverFlag::MaxAttempts:
-    O.MaxAttempts = static_cast<unsigned>(strtoul(Value, nullptr, 10));
-    break;
-  case DriverFlag::TaskDeadlineMs:
-    O.TaskDeadlineMs = strtod(Value, nullptr);
-    break;
-  case DriverFlag::BreakerThreshold:
-    O.BreakerThreshold = static_cast<unsigned>(strtoul(Value, nullptr, 10));
-    break;
-  case DriverFlag::BreakerHalfOpen:
-    O.BreakerHalfOpenAfter =
-        static_cast<unsigned>(strtoul(Value, nullptr, 10));
-    break;
-  case DriverFlag::CrashBundleDir:
-    O.CrashBundleDir = Value;
     break;
   case DriverFlag::SimAudit:
     O.SimAudit = true;
@@ -175,12 +144,6 @@ void applyFlag(DriverOptions &O, DriverFlag Flag, const char *Value) {
 RunnerOptions DriverOptions::toRunnerOptions() const {
   RunnerOptions R;
   R.Jobs = Jobs;
-  R.PollInterval = PollInterval;
-  R.MaxAttempts = MaxAttempts;
-  R.TaskDeadlineMs = TaskDeadlineMs;
-  R.BreakerThreshold = BreakerThreshold;
-  R.BreakerHalfOpenAfter = BreakerHalfOpenAfter;
-  R.CrashBundleDir = CrashBundleDir;
   R.SimAudit = SimAudit;
   R.FailFast = FailFast;
   return R;

@@ -46,18 +46,12 @@ namespace dbds {
 /// unsupported knobs fail loudly instead of being silently accepted.
 enum class DriverFlag : unsigned {
   Jobs,            ///< --jobs=N
-  PollMask,        ///< --poll-mask=N
   Metrics,         ///< --metrics
   Counters,        ///< --counters
   Trace,           ///< --trace=FILE
   Remarks,         ///< --remarks=FILE
   Flamegraph,      ///< --flamegraph=FILE
   JsonOut,         ///< --json-out[=FILE]
-  MaxAttempts,     ///< --max-attempts=N
-  TaskDeadlineMs,  ///< --task-deadline-ms=MS
-  BreakerThreshold, ///< --breaker-threshold=N
-  BreakerHalfOpen, ///< --breaker-half-open=N
-  CrashBundleDir,  ///< --crash-bundle-dir=DIR
   SimAudit,        ///< --simaudit
   CompileCache,    ///< --compile-cache[=DIR]
   CacheDir,        ///< --cache-dir=DIR
@@ -74,7 +68,6 @@ enum class DriverFlag : unsigned {
 /// corpus --count=3) overwrite fields before parsing.
 struct DriverOptions {
   unsigned Jobs = 1;          ///< 0 = one worker per hardware thread.
-  unsigned PollInterval = 128; ///< Cancellation-poll stride (power of two).
   bool Metrics = false;        ///< Histogram metrics registry on.
   bool DumpCounters = false;   ///< Dump the counter registry after the run.
   std::string TracePath;       ///< "" = tracing off.
@@ -84,11 +77,6 @@ struct DriverOptions {
   /// Path a bare --json-out (no =FILE) selects; drivers set it to their
   /// conventional report name before parsing.
   std::string JsonOutDefault = "bench.json";
-  unsigned MaxAttempts = 1;    ///< Retry ladder depth (1 = no retries).
-  double TaskDeadlineMs = 0.0; ///< Per-attempt deadline (0 = none).
-  unsigned BreakerThreshold = 0;    ///< Circuit breaker (0 = off).
-  unsigned BreakerHalfOpenAfter = 0; ///< Half-open recovery (0 = stay open).
-  std::string CrashBundleDir;  ///< "" = no crash bundles.
   bool SimAudit = false;       ///< Audit DBDS decisions post-hoc.
   bool UseCompileCache = false; ///< Content-addressed compile cache.
   std::string CacheDir;        ///< "" = in-memory cache only.

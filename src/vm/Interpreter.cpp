@@ -7,8 +7,6 @@
 #include "vm/Interpreter.h"
 
 #include "ir/Semantics.h"
-#include "support/Cancellation.h"
-#include "support/Timer.h"
 #include "telemetry/Counters.h"
 #include "telemetry/Json.h"
 #include "telemetry/Metrics.h"
@@ -19,12 +17,8 @@ using namespace dbds;
 DBDS_COUNTER(interpreter, runs);
 DBDS_COUNTER(interpreter, instructions_executed);
 
-// Poll-overhead instrumentation (ROADMAP: tune the 128-step checkpoint
-// stride with data). poll_ns is wall-clock and so Timing-class;
-// steps_per_checkpoint and run_steps depend only on what the program
-// executed, so they are part of the deterministic metrics contract.
-DBDS_HISTOGRAM(interpreter, poll_ns, Nanoseconds, Timing);
-DBDS_HISTOGRAM(interpreter, steps_per_checkpoint, Count, Deterministic);
+// run_steps depends only on what the program executed, so it is part of
+// the deterministic metrics contract.
 DBDS_HISTOGRAM(interpreter, run_steps, Count, Deterministic);
 
 void dbds::applyProfile(Function &F, const ProfileSummary &Profile) {
@@ -94,21 +88,10 @@ ExecutionResult Interpreter::run(Function &F, ArrayRef<RuntimeValue> Args,
                        : std::string());
   ++runs;
   uint64_t FuelRemaining = Fuel;
-  PendingCheckpointSteps.clear();
   ExecutionResult Result = execute(F, Args, FuelRemaining, Profile,
                                    /*Depth=*/0);
   instructions_executed += Result.Steps;
-  // Interrupted runs' step counts — and how many checkpoint strides they
-  // got through — depend on cancellation timing, which is schedule-
-  // dependent; keep both out of the deterministic histograms. execute()
-  // buffers the stride samples so this decision can be made after the
-  // run's fate is known.
-  if (!Result.Interrupted) {
-    run_steps.record(Result.Steps);
-    for (uint64_t Steps : PendingCheckpointSteps)
-      steps_per_checkpoint.record(Steps);
-  }
-  PendingCheckpointSteps.clear();
+  run_steps.record(Result.Steps);
   return Result;
 }
 
@@ -133,37 +116,7 @@ ExecutionResult Interpreter::execute(Function &F, ArrayRef<RuntimeValue> Args,
 
   Block *Current = F.getEntry();
   Block *Previous = nullptr;
-  unsigned Polls = 0;
-  uint64_t StepsAtLastPoll = 0;
   while (true) {
-    // Cancellation guard, strided so the wall-clock poll stays off the hot
-    // path: every PollMask+1 block transitions (default 128, see
-    // setPollInterval; plus whenever the flag is already visibly set), end
-    // the run with Interrupted. Ok stays false; an interrupted run's
-    // partial cycles/steps are discarded by the caller.
-    if (Cancel && (((++Polls & PollMask) == 0) || Cancel->cancelled())) {
-      bool Fired;
-      if (MetricsRegistry::enabled()) {
-        // Strided polls happen at deterministic execution points, so the
-        // steps-between-checkpoints distribution is deterministic — but
-        // only over runs that finish: buffer the samples and let run()
-        // publish them if the run completes uninterrupted. The poll's own
-        // cost is wall clock and Timing-class, recorded immediately.
-        if ((Polls & PollMask) == 0) {
-          PendingCheckpointSteps.push_back(Result.Steps - StepsAtLastPoll);
-          StepsAtLastPoll = Result.Steps;
-        }
-        uint64_t T0 = Timer::nowNs();
-        Fired = Cancel->checkpoint();
-        poll_ns.record(Timer::nowNs() - T0);
-      } else {
-        Fired = Cancel->checkpoint();
-      }
-      if (Fired) {
-        Result.Interrupted = true;
-        return Result;
-      }
-    }
     Result.DynamicCycles += BlockPenalty;
     if (Profile)
       ++Profile->BlockCounts[Current];
@@ -282,10 +235,6 @@ ExecutionResult Interpreter::execute(Function &F, ArrayRef<RuntimeValue> Args,
                     FuelRemaining, Profile, Depth + 1);
         Result.DynamicCycles += Sub.DynamicCycles;
         Result.Steps += Sub.Steps;
-        // Propagate interruption so run() knows this run's metrics are
-        // cancellation-timing-dependent even when the token fired inside
-        // a callee frame.
-        Result.Interrupted |= Sub.Interrupted;
         if (!Sub.Ok)
           return Result; // propagate fuel exhaustion / runaway recursion
         reg(I) = Sub.HasResult ? Sub.Result : RuntimeValue::ofInt(0);

@@ -30,8 +30,6 @@
 
 namespace dbds {
 
-class CancellationToken;
-
 /// A runtime value: a 64-bit integer, or an object reference (heap index,
 /// -1 for null).
 struct RuntimeValue {
@@ -66,10 +64,6 @@ struct ExecutionResult {
   bool HasResult = false;     ///< True when the program returned a value.
   uint64_t DynamicCycles = 0; ///< Cost-model cycles of executed code.
   uint64_t Steps = 0;         ///< Instructions executed.
-  /// True when an installed cancellation token stopped the run early (Ok
-  /// stays false). Distinct from fuel exhaustion: an interrupted run says
-  /// nothing about the program, only that the task was cancelled.
-  bool Interrupted = false;
 };
 
 /// Observes every value an instruction produces during interpretation
@@ -104,22 +98,6 @@ public:
     PenaltyStep = Step;
     PenaltyCap = Cap;
     PenaltyEnabled = true;
-  }
-
-  /// Installs a cooperative cancellation token (not owned; null to
-  /// remove). Polled every few block transitions; a fired token ends the
-  /// run with Interrupted set.
-  void setCancellation(CancellationToken *C) { Cancel = C; }
-
-  /// Sets the cancellation poll stride to every \p N block transitions
-  /// (power of two; default 128). Exposed as --poll-mask on the figure
-  /// drivers so the overhead the interpreter.poll_ns histogram measures
-  /// can be tuned; 128 stays the default while that overhead is <1% of
-  /// run time.
-  void setPollInterval(uint32_t N) {
-    assert(N != 0 && (N & (N - 1)) == 0 &&
-           "poll interval must be a power of two");
-    PollMask = N - 1;
   }
 
   /// Discards all heap objects.
@@ -162,13 +140,6 @@ private:
 
   const Module &M;
   ValueObserver Observer;
-  CancellationToken *Cancel = nullptr;
-  uint32_t PollMask = 127;
-  /// Steps-between-checkpoint samples buffered during a run; published to
-  /// the deterministic steps_per_checkpoint histogram only when the run
-  /// completes uninterrupted — an interrupted run's sample count depends
-  /// on cancellation timing, which is schedule-dependent.
-  std::vector<uint64_t> PendingCheckpointSteps;
   std::vector<HeapObject> Heap;
   bool PenaltyEnabled = false;
   uint64_t PenaltyThreshold = 256;

@@ -74,20 +74,14 @@ CompileCacheKey dbds::computeCompileCacheKey(
   H.boolean(FP.Verify);
   H.boolean(FP.FailFast);
   H.f64(FP.CompileBudgetMs);
-  H.u32(FP.PollInterval);
   H.boolean(FP.SimAudit);
   H.boolean(FP.WantDiags);
   H.boolean(FP.WantDecisions);
   H.boolean(FP.MetricsEnabled);
-  H.u32(FP.ForcedLevel);
-  H.u64(FP.DisabledPhases.size());
-  for (const std::string &Phase : FP.DisabledPhases)
-    H.str(Phase);
   H.boolean(FP.HasInjector);
   if (FP.HasInjector) {
     H.u64(FP.InjectorBaseSeed);
     H.f64(FP.InjectorRate);
-    H.u32(FP.InjectorKindMask);
     H.u64(FP.TaskFaultSeed);
   }
   return H.digest();

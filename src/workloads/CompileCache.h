@@ -10,20 +10,19 @@
 /// (ROADMAP: they recompile from scratch today); the cache keys each
 /// compile by a 128-bit stable hash of the *canonical pristine-IR
 /// printing* plus a fingerprint of everything else that can change the
-/// outcome — configuration, budgets, poll mask, fault-injection stream,
-/// phase-breaker state — and a hit replays the memoized optimized IR,
-/// counters, decision log, deterministic histograms, and measurements, so
-/// a warm run's reports are byte-identical to a cold run's deterministic
-/// sections (DESIGN.md §13).
+/// outcome — configuration, budgets, fault-injection stream — and a hit
+/// replays the memoized optimized IR, counters, decision log,
+/// deterministic histograms, and measurements, so a warm run's reports are
+/// byte-identical to a cold run's deterministic sections (DESIGN.md §13).
 ///
 /// Caching a *speculative* pipeline is only sound under strict rules:
 ///
 ///  - Eligibility: only clean compiles are stored — no rollbacks, no run
 ///    failures, no quarantined phases, no diagnostics or log lines, no
-///    budget expiry, no cancellation. Anything timing-driven or
-///    benchmark-labelled recompiles every time; the common (clean) case
-///    is exactly where the redundant work is.
-///  - Schedule independence: tasks only *probe* during a parallel wave;
+///    budget expiry. Anything timing-driven or benchmark-labelled
+///    recompiles every time; the common (clean) case is exactly where the
+///    redundant work is.
+///  - Schedule independence: tasks only *probe* while the batch runs;
 ///    inserts happen at the serial index-ordered join. Hit/miss counts —
 ///    and therefore every counter total — are identical at --jobs=1 and
 ///    --jobs=N.
@@ -74,17 +73,10 @@ struct CompileCacheFingerprint {
   bool Verify = false;
   bool FailFast = false;
   double CompileBudgetMs = 0.0;
-  unsigned PollInterval = 128;
   bool SimAudit = false;
   bool WantDiags = false;
   bool WantDecisions = false;
   bool MetricsEnabled = false;
-  /// DegradationLevel the retry ladder forced for this attempt.
-  unsigned ForcedLevel = 0;
-  /// Phases the circuit breaker has disabled at probe time, sorted (the
-  /// set is stable during a wave; its contents change what the pipeline
-  /// runs).
-  std::vector<std::string> DisabledPhases;
   /// Fault-injection stream identity: base injector parameters plus the
   /// per-task derived seed (byte-identical functions at different task
   /// indices draw different fault streams, so the derived seed — not the
@@ -92,7 +84,6 @@ struct CompileCacheFingerprint {
   bool HasInjector = false;
   uint64_t InjectorBaseSeed = 0;
   double InjectorRate = 0.0;
-  unsigned InjectorKindMask = 0;
   uint64_t TaskFaultSeed = 0;
 };
 

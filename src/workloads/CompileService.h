@@ -46,32 +46,9 @@
 
 namespace dbds {
 
-/// One rung of a task's retry-with-degradation ladder: what the attempt
-/// was forced to shed, which fault stream it drew, and how it ended.
-struct CompileAttempt {
-  unsigned Attempt = 0; ///< 0-based rung (0 = first try).
-  /// Level the ladder forced before the attempt started (None -> NoDBDS ->
-  /// NoFixpoint); distinct from budget-driven degradation during it.
-  DegradationLevel Forced = DegradationLevel::None;
-  /// Worst level in effect by the end (max of Forced and budget expiry).
-  DegradationLevel Reached = DegradationLevel::None;
-  unsigned Rollbacks = 0;
-  unsigned RunFailures = 0;
-  bool Cancelled = false;     ///< The task token fired (deadline/external).
-  bool BudgetTripped = false; ///< The wall-clock compile budget expired.
-  bool Failed = false;        ///< Attempt verdict (re-queue or exhaust).
-  /// The attempt's forTask(index, attempt) fault stream: seed and final
-  /// site/fault ordinals (zero when the batch runs without an injector).
-  uint64_t FaultSeed = 0;
-  unsigned FaultSites = 0;
-  unsigned FaultsInjected = 0;
-  std::string Reason; ///< Human summary ("ok", "2 rollback(s)", ...).
-};
-
 /// Everything one function's compile+measure task produced, buffered so
 /// the join can assemble results in function index order no matter which
-/// worker finished when. Scalars describe the final attempt; Attempts
-/// holds the whole ladder.
+/// worker finished when.
 struct FunctionCompileOutcome {
   double CompileTimeMs = 0.0;
   uint64_t CodeSize = 0;
@@ -85,17 +62,12 @@ struct FunctionCompileOutcome {
   uint64_t ResultHash = 0;
   /// Harness log lines (non-terminating runs), emitted in index order.
   std::vector<std::string> LogLines;
-  /// SimAudit verdict counts of the final attempt (Ran only when the
-  /// service ran with RunnerOptions::SimAudit on a DBDS configuration).
+  /// SimAudit verdict counts (Ran only when the service ran with
+  /// RunnerOptions::SimAudit on a DBDS configuration).
   SimAuditCounts Audit;
-  /// The retry ladder, in attempt order (always at least one entry).
-  std::vector<CompileAttempt> Attempts;
-  /// True when every allowed attempt failed; the task's last (most
-  /// degraded) result stands and a crash bundle is emitted when the
-  /// service is configured with a bundle directory.
+  /// Always false; benchmark/dbds_bench.cpp still reads it. Delete it
+  /// with the next change to the benchmark.
   bool Exhausted = false;
-  /// Directory of the crash bundle written for this task ("" when none).
-  std::string CrashBundle;
 };
 
 /// Mixes one value into a result hash (the runner's hashing primitive,
@@ -133,14 +105,10 @@ private:
   std::unique_ptr<ThreadPool> Pool; ///< Null when Jobs == 1.
 };
 
-/// What one supervised batch produced: the per-function outcomes plus the
-/// batch-level supervision events.
+/// What one batch produced.
 struct CompileBatch {
   /// Per-function outcomes, in function index order.
   std::vector<FunctionCompileOutcome> Outcomes;
-  /// Phases the per-phase circuit breaker disabled during the batch, in
-  /// trip order ("<phase> after K attributed corruption(s)").
-  std::vector<std::string> BreakerTrips;
 };
 
 /// Compiles and measures every function of \p W under \p Config, sharded
@@ -160,16 +128,6 @@ struct CompileBatch {
 /// is immutable during compilation (direct Invoke calls between functions
 /// would break this; the generator emits only opaque calls).
 ///
-/// Supervision (RunnerOptions MaxAttempts / TaskDeadlineMs / Cancel /
-/// BreakerThreshold / CrashBundleDir) runs the batch as one wave per
-/// ladder rung: attempt a re-queues every task that failed attempt a-1 at
-/// forced DegradationLevel(min(a, 2)) with a fresh forTask(index, a) fault
-/// stream. Between waves the service folds attempt verdicts and breaker
-/// attribution serially in function index order, so retry scheduling and
-/// breaker trips depend only on (function index, attempt number) — never
-/// on worker identity or completion order (DESIGN.md §9/§10). Timing-
-/// driven expiry (deadlines, budgets) remains the one documented
-/// nondeterminism.
 CompileBatch compileFunctionsParallel(CompileService &Service,
                                       GeneratedWorkload &W, RunConfig Config,
                                       const RunnerOptions &Opts,

@@ -33,17 +33,6 @@ const char *dbds::runConfigName(RunConfig Config) {
 
 std::vector<RunnerOptionDiagnostic> RunnerOptions::validate() const {
   std::vector<RunnerOptionDiagnostic> Out;
-  if (PollInterval == 0 || (PollInterval & (PollInterval - 1)) != 0)
-    Out.push_back({"--poll-mask",
-                   std::to_string(PollInterval) + " is not a power of two"});
-  if (MaxAttempts == 0)
-    Out.push_back({"--max-attempts", "must be at least 1"});
-  if (TaskDeadlineMs < 0.0)
-    Out.push_back({"--task-deadline-ms", "deadline cannot be negative"});
-  if (BreakerHalfOpenAfter != 0 && BreakerThreshold == 0)
-    Out.push_back({"--breaker-half-open",
-                   "half-open recovery needs --breaker-threshold to arm "
-                   "the breaker"});
   if (Injector != nullptr && Cache != nullptr)
     Out.push_back({"--compile-cache",
                    "incompatible with fault injection: a replayed compile "
@@ -87,17 +76,8 @@ ConfigMeasurement measureConfig(CompileService &Service,
     Out.CompileTimeMs += O.CompileTimeMs;
     Out.CodeSize += O.CodeSize;
     Out.Duplications += O.Duplications;
-    // Rollbacks and run failures sum across the whole retry ladder — every
-    // attempt's faults are part of the measurement record, not just the
-    // attempt whose result stood. Identical to the final attempt's counts
-    // when supervision is off (single attempt).
-    for (const CompileAttempt &A : O.Attempts) {
-      Out.Rollbacks += A.Rollbacks;
-      Out.RunFailures += A.RunFailures;
-    }
-    Out.Retries += static_cast<unsigned>(O.Attempts.size()) - 1;
-    if (O.Exhausted)
-      ++Out.TasksExhausted;
+    Out.Rollbacks += O.Rollbacks;
+    Out.RunFailures += O.RunFailures;
     if (O.Degradation != DegradationLevel::None) {
       ++Out.FunctionsDegraded;
       Out.MaxDegradation = std::max(Out.MaxDegradation, O.Degradation);
@@ -107,7 +87,6 @@ ConfigMeasurement measureConfig(CompileService &Service,
     Out.ResultHash = resultHashCombine(Out.ResultHash, O.ResultHash);
     Out.Audit.accumulate(O.Audit);
   }
-  Out.BreakerTrips = std::move(Batch.BreakerTrips);
   if (Opts.CollectCounters)
     Out.Counters = CounterRegistry::delta(
         PreCounters, CounterRegistry::instance().snapshot());
@@ -223,22 +202,6 @@ dbds::formatSuiteReport(const std::string &SuiteName,
                  M.Name.c_str(), Cfg, CM->Rollbacks);
         Notes += Line;
       }
-      if (CM->Retries != 0) {
-        snprintf(Line, sizeof(Line),
-                 "note: %s/%s: %u retried attempt(s) on the degradation "
-                 "ladder\n",
-                 M.Name.c_str(), Cfg, CM->Retries);
-        Notes += Line;
-      }
-      if (CM->TasksExhausted != 0) {
-        snprintf(Line, sizeof(Line),
-                 "note: %s/%s: %u task(s) exhausted every attempt\n",
-                 M.Name.c_str(), Cfg, CM->TasksExhausted);
-        Notes += Line;
-      }
-      for (const std::string &Trip : CM->BreakerTrips)
-        Notes += "note: " + M.Name + "/" + Cfg +
-                 ": circuit breaker disabled " + Trip + "\n";
       if (CM->Audit.Ran) {
         snprintf(Line, sizeof(Line),
                  "note: %s/%s: simulation audit: %llu confirmed, "

@@ -29,12 +29,10 @@
 
 namespace dbds {
 
-class CancellationToken;
 class CompileCache;
 class DecisionLog;
 class DiagnosticEngine;
 class FaultInjector;
-class Linter;
 
 /// The three configurations of §6.1.
 enum class RunConfig { Baseline, DBDS, DupALot };
@@ -45,7 +43,8 @@ const char *runConfigName(RunConfig Config);
 /// phrased in the drivers' flag vocabulary so it can be printed verbatim
 /// as a usage error.
 struct RunnerOptionDiagnostic {
-  std::string Option;  ///< The flag as drivers expose it ("--poll-mask").
+  std::string Option;  ///< The flag as drivers expose it
+                       ///< ("--compile-cache").
   std::string Message; ///< What is wrong with its value or combination.
 };
 
@@ -88,61 +87,18 @@ struct RunnerOptions {
   /// identical across jobs settings (see workloads/CompileService.h).
   unsigned Jobs = 1;
 
-  /// Interpreter cancellation-poll stride in block transitions (power of
-  /// two; drivers expose --poll-mask). 128 is the measured sweet spot —
-  /// the interpreter.poll_ns histogram puts its overhead under 1% there.
-  unsigned PollInterval = 128;
-
-  // ---- Task supervision (workloads/CompileService.h) -------------------
-
-  /// Maximum attempts per task on the retry-with-degradation ladder
-  /// (clamped to [1, 3]; attempt a runs at forced DegradationLevel
-  /// min(a, 2)). 1 = no retries, the pre-supervision behavior.
-  unsigned MaxAttempts = 1;
-
-  /// Per-attempt wall-clock deadline in milliseconds (0 = none). An
-  /// over-deadline attempt is cancelled at the next safe checkpoint and
-  /// counts as failed.
-  double TaskDeadlineMs = 0.0;
-
-  /// Optional batch-wide cancellation token (not owned): cancelling it
-  /// cancels every in-flight and future attempt of the batch.
-  CancellationToken *Cancel = nullptr;
-
-  /// Per-phase circuit breaker: after this many attributed corruptions of
-  /// the same phase across the module, the phase is disabled for the
-  /// batch's remaining tasks (0 = breaker off).
-  unsigned BreakerThreshold = 0;
-
-  /// Breaker half-open state: re-enable a tripped phase after this many
-  /// consecutive clean folded attempts (0 = stay open for the batch, the
-  /// pre-half-open behavior). A re-enabled phase re-trips on its next
-  /// attributed corruption.
-  unsigned BreakerHalfOpenAfter = 0;
-
   /// Run SimAudit (analysis/SimAudit.h) over each function's post-DBDS IR
   /// and decision slice; verdicts land in the decision log, counts in
   /// ConfigMeasurement::Audit and the bench JSON's `simulation_audit`
   /// section (drivers expose --simaudit).
   bool SimAudit = false;
 
-  /// When non-empty, every task that exhausts its retries writes a
-  /// self-contained crash-report bundle below this directory
-  /// (tooling/CrashBundle.h).
-  std::string CrashBundleDir;
-
-  /// Optional audit-mode linter for the per-task pipelines (not owned):
-  /// phase effects are lint-diffed and attributed, feeding the breaker
-  /// higher-fidelity blame than the plain verifier.
-  const Linter *AuditLinter = nullptr;
-
   /// Checks the knob combination for conflicts the harness would
-  /// otherwise paper over at runtime: a non-power-of-two poll stride, a
-  /// zero retry budget, a negative deadline, half-open recovery with the
-  /// breaker off, and fault injection combined with the compile cache (a
-  /// replayed compile would desync the sequential fault stream — the
-  /// conflict fuzzdiff used to auto-disable silently). Returns one
-  /// diagnostic per problem; empty means the options are coherent. Every
+  /// otherwise paper over at runtime: fault injection combined with the
+  /// compile cache (a replayed compile would desync the sequential fault
+  /// stream — the conflict fuzzdiff used to auto-disable silently).
+  /// Returns one diagnostic per problem; empty means the options are
+  /// coherent. Every
   /// driver gates on this after wiring its pointers (see
   /// tooling/DriverOptions.h's reportInvalidRunnerOptions).
   std::vector<RunnerOptionDiagnostic> validate() const;
@@ -167,10 +123,6 @@ struct ConfigMeasurement {
   DegradationLevel MaxDegradation = DegradationLevel::None;
   unsigned Rollbacks = 0;    ///< Phase/DBDS rollbacks during compilation.
   unsigned RunFailures = 0;  ///< Training/eval runs that did not terminate.
-  unsigned Retries = 0;      ///< Re-queued attempts beyond each first try.
-  unsigned TasksExhausted = 0; ///< Tasks whose every attempt failed.
-  /// Phases the per-phase circuit breaker disabled, in trip order.
-  std::vector<std::string> BreakerTrips;
   /// Telemetry-counter delta over this configuration's region (empty
   /// unless RunnerOptions::CollectCounters was set).
   std::vector<CounterSample> Counters;

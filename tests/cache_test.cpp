@@ -293,7 +293,6 @@ struct KeyFixture {
     FP.HasInjector = true;
     FP.InjectorBaseSeed = 99;
     FP.InjectorRate = 0.25;
-    FP.InjectorKindMask = 7;
     FP.TaskFaultSeed = 1234;
   }
 
@@ -316,20 +315,14 @@ TEST(CacheKeyTest, EveryFingerprintFieldPerturbsKey) {
       {"Verify", [](KeyFixture &F) { F.FP.Verify = false; }},
       {"FailFast", [](KeyFixture &F) { F.FP.FailFast = true; }},
       {"CompileBudgetMs", [](KeyFixture &F) { F.FP.CompileBudgetMs = 13.0; }},
-      {"PollInterval", [](KeyFixture &F) { F.FP.PollInterval = 64; }},
       {"SimAudit", [](KeyFixture &F) { F.FP.SimAudit = false; }},
       {"WantDiags", [](KeyFixture &F) { F.FP.WantDiags = true; }},
       {"WantDecisions", [](KeyFixture &F) { F.FP.WantDecisions = true; }},
       {"MetricsEnabled", [](KeyFixture &F) { F.FP.MetricsEnabled = true; }},
-      {"ForcedLevel", [](KeyFixture &F) { F.FP.ForcedLevel = 1; }},
-      {"DisabledPhases",
-       [](KeyFixture &F) { F.FP.DisabledPhases = {"dbds"}; }},
       {"HasInjector", [](KeyFixture &F) { F.FP.HasInjector = false; }},
       {"InjectorBaseSeed",
        [](KeyFixture &F) { F.FP.InjectorBaseSeed = 100; }},
       {"InjectorRate", [](KeyFixture &F) { F.FP.InjectorRate = 0.5; }},
-      {"InjectorKindMask",
-       [](KeyFixture &F) { F.FP.InjectorKindMask = 3; }},
       {"TaskFaultSeed", [](KeyFixture &F) { F.FP.TaskFaultSeed = 1235; }},
   };
   for (const Case &C : Cases) {

@@ -23,6 +23,7 @@
 #include "support/ThreadPool.h"
 #include "telemetry/Counters.h"
 #include "telemetry/DecisionLog.h"
+#include "telemetry/Trace.h"
 #include "workloads/CompileCache.h"
 #include "workloads/CompileService.h"
 #include "workloads/Runner.h"
@@ -356,9 +357,10 @@ TEST(ConcurrencyWallTest, CompileCacheIsScheduleIndependent) {
   // replayed payload must be schedule-independent. Three runs are
   // compared — cold --jobs=8, warm --jobs=8 (same cache), and cold
   // --jobs=1 (fresh cache). Cold8 and Cold1 must agree on everything
-  // *including* cache.* counters (probes happen in waves, inserts at the
-  // serial join); Warm8 must agree on everything except cache.* (hits
-  // replace misses — the one documented warm/cold divergence).
+  // *including* cache.* counters (probes happen in the parallel tasks,
+  // inserts at the serial join); Warm8 must agree on everything except
+  // cache.* (hits replace misses — the one documented warm/cold
+  // divergence).
   CompileCache Shared, Fresh;
   CorpusObservation Cold8 = observeCorpus(8, &Shared);
   CorpusObservation Warm8 = observeCorpus(8, &Shared);
@@ -451,25 +453,17 @@ TEST(ConcurrencyWallTest, FaultInjectionIsScheduleIndependent) {
         Diags.render());
   };
   EXPECT_EQ(Run(1), Run(8));
-}
 
-TEST(ConcurrencyWallTest, RetryLadderIsScheduleIndependent) {
-  // The supervised batch extends the wall: attempt histories, re-queue
-  // decisions, breaker trips, diagnostics, remarks, and counter totals
-  // must be byte-identical between --jobs=1 and --jobs=8. The fault mask
-  // deliberately excludes Hang and no deadline is armed — timing-driven
-  // expiry is the one documented nondeterminism, so it stays out of the
-  // byte-identical comparison (supervision_test covers containment).
-  BenchmarkSpec Spec =
-      generatorCorpusSuite(/*Seed=*/3300, /*Benchmarks=*/1, /*Functions=*/6,
+  // The fault storm: a higher rate over a larger unit, with the decision
+  // log, the diagnostics and a trace captured. Every function must
+  // produce an outcome, the trace must be span-balanced, and everything
+  // observable must be byte-identical to the --jobs=1 run.
+  BenchmarkSpec Storm =
+      generatorCorpusSuite(/*Seed=*/5100, /*Benchmarks=*/1, /*Functions=*/8,
                            /*Segments=*/4)
           .Benchmarks[0];
-
-  auto Run = [&](unsigned Jobs) {
-    FaultInjector Injector(1234, 0.25,
-                           FaultInjector::MaskCorruptIR |
-                               FaultInjector::MaskPhaseFailure |
-                               FaultInjector::MaskResourceExhaustion);
+  auto RunStorm = [&](unsigned Jobs) {
+    FaultInjector Injector(31, 0.15);
     DecisionLog Decisions;
     DiagnosticEngine Diags;
     RunnerOptions Opts;
@@ -477,46 +471,34 @@ TEST(ConcurrencyWallTest, RetryLadderIsScheduleIndependent) {
     Opts.Injector = &Injector;
     Opts.Decisions = &Decisions;
     Opts.Diags = &Diags;
-    Opts.Jobs = Jobs;
-    Opts.MaxAttempts = 3;
-    Opts.BreakerThreshold = 4;
 
-    std::vector<CounterSample> Pre = CounterRegistry::instance().snapshot();
-    GeneratedWorkload W = generateWorkload(Spec.Config);
+    GeneratedWorkload W = generateWorkload(Storm.Config);
     CompileService Service(Jobs);
-    CompileBatch Batch = compileFunctionsParallel(Service, W, RunConfig::DBDS,
-                                                  Opts, Spec.Name);
+    TraceSession Trace;
+    CompileBatch Batch = [&] {
+      ScopedTraceAttach Attach(Trace);
+      return compileFunctionsParallel(Service, W, RunConfig::DBDS, Opts,
+                                      Storm.Name);
+    }();
+    EXPECT_EQ(Batch.Outcomes.size(), 8u);
+    EXPECT_GT(Injector.faultsInjected(), 0u);
+    std::vector<std::string> Errors;
+    EXPECT_TRUE(Trace.checkBalance(&Errors));
+    for (const std::string &E : Errors)
+      ADD_FAILURE() << E;
 
-    // Serialize every schedule-sensitive observable into one string.
     std::string S;
-    for (const FunctionCompileOutcome &O : Batch.Outcomes) {
+    for (const FunctionCompileOutcome &O : Batch.Outcomes)
       S += "outcome hash=" + std::to_string(O.ResultHash) +
+           " dup=" + std::to_string(O.Duplications) +
            " rollbacks=" + std::to_string(O.Rollbacks) +
-           " runfail=" + std::to_string(O.RunFailures) +
-           " exhausted=" + std::to_string(O.Exhausted) + "\n";
-      for (const CompileAttempt &A : O.Attempts)
-        S += "  attempt " + std::to_string(A.Attempt) +
-             " forced=" + std::to_string(static_cast<int>(A.Forced)) +
-             " seed=" + std::to_string(A.FaultSeed) +
-             " sites=" + std::to_string(A.FaultSites) +
-             " injected=" + std::to_string(A.FaultsInjected) +
-             " rollbacks=" + std::to_string(A.Rollbacks) +
-             " runfail=" + std::to_string(A.RunFailures) +
-             " failed=" + std::to_string(A.Failed) + " " + A.Reason + "\n";
-    }
-    for (const std::string &Trip : Batch.BreakerTrips)
-      S += "trip: " + Trip + "\n";
-    S += printModule(W.Mod.get());
-    S += Decisions.renderJsonl();
-    S += Diags.render();
-    S += "sites=" + std::to_string(Injector.sitesVisited()) +
-         " injected=" + std::to_string(Injector.faultsInjected()) + "\n";
-    for (const CounterSample &C :
-         CounterRegistry::delta(Pre, CounterRegistry::instance().snapshot()))
-      S += C.Name + "=" + std::to_string(C.Value) + "\n";
-    return S;
+           " runfail=" + std::to_string(O.RunFailures) + "\n";
+    return S + printModule(W.Mod.get()) + Decisions.renderJsonl() +
+           Diags.render() + "sites=" +
+           std::to_string(Injector.sitesVisited()) +
+           " injected=" + std::to_string(Injector.faultsInjected());
   };
-  EXPECT_EQ(Run(1), Run(8));
+  EXPECT_EQ(RunStorm(1), RunStorm(8));
 }
 
 //===----------------------------------------------------------------------===//

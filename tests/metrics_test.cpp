@@ -14,13 +14,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ir/Parser.h"
-#include "support/Cancellation.h"
 #include "telemetry/BenchCompare.h"
 #include "telemetry/JsonValue.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
-#include "vm/Interpreter.h"
 #include "workloads/CompileService.h"
 #include "workloads/Runner.h"
 
@@ -484,81 +481,6 @@ TEST(MetricsDeterminismTest, JobsOneAndJobsEightMetricsAreByteIdentical) {
   EXPECT_NE(Serial.find("interpreter.run_steps"), std::string::npos);
   // ...and the deterministic-class JSON must not depend on scheduling.
   EXPECT_EQ(Serial, Parallel);
-}
-
-TEST(MetricsDeterminismTest, InterruptedRunsRecordNoDeterministicSamples) {
-  // An interrupted run's sample counts depend on cancellation timing,
-  // which is schedule-dependent: the interpreter must drop both run_steps
-  // and the buffered steps_per_checkpoint strides for such runs, or the
-  // Deterministic classification of those histograms is a lie under
-  // deadlines/budgets.
-  ScopedMetrics On;
-  MetricsRegistry &Reg = MetricsRegistry::instance();
-  TelemetryHistogram &Checkpoints =
-      Reg.getOrCreate("interpreter", "steps_per_checkpoint",
-                      MetricUnit::Count, MetricClass::Deterministic);
-  TelemetryHistogram &RunSteps = Reg.getOrCreate(
-      "interpreter", "run_steps", MetricUnit::Count,
-      MetricClass::Deterministic);
-  Checkpoints.reset();
-  RunSteps.reset();
-
-  ParseResult R = parseModule(R"(
-func @f(int) {
-b0:
-  %n = param 0
-  %zero = const 0
-  jump b1
-b1:
-  %i = phi int [%zero, b0], [%inext, b2]
-  %c = cmp lt %i, %n
-  if %c, b2, b3
-b2:
-  %one = const 1
-  %inext = add %i, %one
-  jump b1
-b3:
-  ret %i
-}
-)");
-  ASSERT_TRUE(R) << R.Error;
-  Function *F = R.Mod->functions()[0];
-
-  // A completed run feeds both histograms.
-  {
-    Interpreter Interp(*R.Mod);
-    CancellationToken Token;
-    Interp.setCancellation(&Token);
-    Interp.setPollInterval(4);
-    ExecutionResult E = Interp.run(*F, ArrayRef<int64_t>({64}));
-    ASSERT_TRUE(E.Ok);
-    EXPECT_FALSE(E.Interrupted);
-  }
-  EXPECT_EQ(RunSteps.read().count(), 1u);
-  const uint64_t CompletedStrides = Checkpoints.read().count();
-  EXPECT_GT(CompletedStrides, 0u);
-
-  // The same program cancelled mid-run contributes nothing, even though
-  // it passed several checkpoints before the token fired.
-  {
-    Interpreter Interp(*R.Mod);
-    CancellationToken Token;
-    Interp.setCancellation(&Token);
-    Interp.setPollInterval(4);
-    unsigned Seen = 0;
-    Interp.setObserver([&Seen, &Token](const Instruction *,
-                                       const RuntimeValue &) {
-      if (++Seen == 100)
-        Token.requestCancel();
-    });
-    ExecutionResult E = Interp.run(*F, ArrayRef<int64_t>({64}));
-    EXPECT_TRUE(E.Interrupted);
-    EXPECT_FALSE(E.Ok);
-  }
-  EXPECT_EQ(RunSteps.read().count(), 1u);
-  EXPECT_EQ(Checkpoints.read().count(), CompletedStrides);
-  Checkpoints.reset();
-  RunSteps.reset();
 }
 
 } // namespace

@@ -52,6 +52,13 @@ struct FoldCase {
   const char *Body;        ///< defines %r from %a, %b
   const char *SurvivorOp;  ///< mnemonic expected to remain, or "" if folded
   int64_t A, B, Expected;  ///< runtime check
+
+  // Without a printer gtest names each case by the struct's raw bytes, which
+  // hold string-literal addresses that move with ASLR and with the binary's
+  // layout, so the ctest name of a case changed from build to build.
+  friend std::ostream &operator<<(std::ostream &OS, const FoldCase &C) {
+    return OS << C.Name;
+  }
 };
 
 class CanonicalizerFolds : public ::testing::TestWithParam<FoldCase> {};

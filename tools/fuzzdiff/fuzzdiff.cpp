@@ -8,7 +8,7 @@
 //
 //   fuzzdiff [--seed=N] [--count=N] [--max-seconds=N] [--out-dir=DIR]
 //            [--functions=N] [--segments=N] [--inject=SEED]
-//            [--inject-kinds=MASK] [--sabotage] [--fail-fast] [--quiet]
+//            [--sabotage] [--fail-fast] [--quiet]
 //            [--trace=FILE] [--jobs=N] [--simaudit] [--compile-cache[=DIR]]
 //            [--cache-dir=DIR]
 //
@@ -36,13 +36,6 @@
 // pipelines; every injected fault must be rolled back transactionally, so
 // a fuzzing pass with injection enabled doubles as the fault-tolerance
 // acceptance test (no aborts, no divergence from rolled-back faults).
-// --inject-kinds=MASK selects the fault kinds (bit 0 = corrupt-ir, bit 1 =
-// phase-failure, bit 2 = hang, bit 3 = resource-exhaustion; default 3, the
-// legacy pair). This is also how a crash bundle's recorded fault stream is
-// replayed outside the harness: pass the bundle's fault seed and kind_mask
-// and the same faults fire at the same sites. Hang faults are cooperative
-// no-ops here — fuzzdiff arms no deadline token — so enabling them checks
-// stream alignment, not containment.
 //
 // --simaudit replays each optimized function's recorded DBDS decisions
 // against dataflow-proven facts (analysis/SimAudit.h) and reports the
@@ -54,8 +47,12 @@
 // derives from (inject seed, seed index), findings are buffered per seed,
 // and reduction/artifact writing happens serially after the join in seed
 // order — so the artifacts, diagnostics, and summary counts match a
-// --jobs=1 run (the inherently timing-dependent --max-seconds cutoff and
-// the --sabotage early exit excepted).
+// --jobs=1 run (the --sabotage early exit excepted).
+//
+// --max-seconds=N is a hang guard, not a budget: seeds that have not
+// started when it runs out are skipped, and a run that skipped any seed
+// this way reports how many and exits 1, so a fixed --count is always
+// either checked in full or failed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -77,6 +74,7 @@
 #include "workloads/ProgramGenerator.h"
 #include "workloads/Runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -94,6 +92,15 @@ namespace {
 
 constexpr uint64_t RunFuel = 1u << 22;
 
+/// Fuel for the optimized side of a reduction-oracle run: eight times the
+/// reference run's step count plus a floor, capped at RunFuel. That is
+/// ample for an optimized run that terminates (optimization removes more
+/// executed work than it adds), while a candidate that stopped terminating
+/// no longer burns the full RunFuel on every oracle query.
+uint64_t oracleFuel(uint64_t ReferenceSteps) {
+  return std::min<uint64_t>(RunFuel, ReferenceSteps * 8 + 4096);
+}
+
 struct Options {
   /// Shared flags (tooling/DriverOptions.h): --seed/--count/--functions/
   /// --segments/--fail-fast/--quiet/--trace/--jobs/--simaudit/
@@ -102,15 +109,11 @@ struct Options {
   double MaxSeconds = 0.0; ///< 0 = unlimited.
   std::string OutDir = "fuzzdiff-artifacts";
   uint64_t InjectSeed = 0; ///< 0 = fault injection off.
-  /// Fault-kind mask for --inject (FaultInjector::Mask*); the default
-  /// reproduces the legacy corrupt-ir/phase-failure alternation.
-  unsigned InjectKinds = FaultInjector::MaskLegacy;
   bool Sabotage = false;
 };
 
 const char *SpecificUsage =
-    "[--max-seconds=N] [--out-dir=DIR] [--inject=SEED] "
-    "[--inject-kinds=MASK] [--sabotage]";
+    "[--max-seconds=N] [--out-dir=DIR] [--inject=SEED] [--sabotage]";
 
 int usage(const char *Prog, const DriverOptionsParser &P) {
   fprintf(stderr, "usage: %s %s %s\n", Prog, SpecificUsage,
@@ -294,6 +297,20 @@ void reportFinding(Finding &F, const GeneratedWorkload &Ref, unsigned FnIdx,
   const std::vector<std::vector<int64_t>> &Eval = Ref.EvalInputs[FnIdx];
   RunConfig Config = F.Config;
   ReductionOracle Oracle = [&](Module &RM, Function &Focus) {
+    // Reference runs first, in input order, up to the first one that does
+    // not terminate: the verdict never looks past it, and a candidate
+    // whose first reference run already hangs needs no compile at all.
+    Interpreter RefInterp(RM);
+    std::vector<ExecutionResult> Reference;
+    for (const auto &Args : Eval) {
+      RefInterp.reset();
+      Reference.push_back(
+          RefInterp.run(Focus, ArrayRef<int64_t>(Args), RunFuel));
+      if (!Reference.back().Ok)
+        break;
+    }
+    if (Reference.empty() || !Reference.front().Ok)
+      return false;
     ParseResult Copy = parseModule(printModule(&RM));
     if (!Copy)
       return false;
@@ -302,16 +319,14 @@ void reportFinding(Finding &F, const GeneratedWorkload &Ref, unsigned FnIdx,
       return false;
     compileFunction(*CF, Copy.Mod.get(), Config, Train, O,
                     /*Diags=*/nullptr, /*Injector=*/nullptr);
-    Interpreter RefInterp(RM), OptInterp(*Copy.Mod);
-    for (const auto &Args : Eval) {
-      RefInterp.reset();
-      ExecutionResult RA = RefInterp.run(Focus, ArrayRef<int64_t>(Args),
-                                         RunFuel);
+    Interpreter OptInterp(*Copy.Mod);
+    for (size_t I = 0; I != Reference.size(); ++I) {
+      const ExecutionResult &RA = Reference[I];
       if (!RA.Ok)
         return false; // never reduce toward a non-terminating reference
       OptInterp.reset();
-      ExecutionResult RB = OptInterp.run(*CF, ArrayRef<int64_t>(Args),
-                                         RunFuel);
+      ExecutionResult RB = OptInterp.run(*CF, ArrayRef<int64_t>(Eval[I]),
+                                         oracleFuel(RA.Steps));
       if (!sameObservable(RA, RB))
         return true;
     }
@@ -395,8 +410,6 @@ int main(int Argc, char **Argv) {
       O.OutDir = Argv[I] + 10;
     else if (strncmp(Argv[I], "--inject=", 9) == 0)
       O.InjectSeed = strtoull(Argv[I] + 9, nullptr, 10);
-    else if (strncmp(Argv[I], "--inject-kinds=", 15) == 0)
-      O.InjectKinds = static_cast<unsigned>(strtoul(Argv[I] + 15, nullptr, 0));
     else if (strcmp(Argv[I], "--sabotage") == 0)
       O.Sabotage = true;
     else
@@ -416,14 +429,7 @@ int main(int Argc, char **Argv) {
     RunAttach.emplace(RunTrace);
 
   DiagnosticEngine Diags;
-  if (O.InjectKinds == 0 ||
-      (O.InjectKinds & ~FaultInjector::MaskAll) != 0) {
-    fprintf(stderr, "fuzzdiff: --inject-kinds must be a non-empty subset "
-                    "of mask %u\n",
-            FaultInjector::MaskAll);
-    return 2;
-  }
-  FaultInjector Injector(O.InjectSeed, /*Rate=*/0.25, O.InjectKinds);
+  FaultInjector Injector(O.InjectSeed, /*Rate=*/0.25);
   FaultInjector *InjectorPtr = O.InjectSeed != 0 ? &Injector : nullptr;
 
   const auto Start = std::chrono::steady_clock::now();
@@ -444,6 +450,7 @@ int main(int Argc, char **Argv) {
   };
   struct SeedOutcome {
     bool Ran = false;
+    bool TimedOut = false; ///< Skipped because --max-seconds ran out.
     DiagnosticEngine Diags;
     FaultInjector Injector{0}; ///< Valid only when HasInjector.
     bool HasInjector = false;
@@ -475,8 +482,10 @@ int main(int Argc, char **Argv) {
 
   CompileService Service(O.Common.Jobs);
   Service.forEachIndex(O.Common.Count, [&](size_t N, unsigned /*Worker*/) {
-    if (O.MaxSeconds > 0.0 && elapsedSeconds() >= O.MaxSeconds)
+    if (O.MaxSeconds > 0.0 && elapsedSeconds() >= O.MaxSeconds) {
+      Outcomes[N].TimedOut = true;
       return;
+    }
     // The self-test only needs to prove one divergence is caught and
     // reduced; every further one costs a full reduction run.
     if (O.Sabotage && SabotageFound.load(std::memory_order_acquire))
@@ -561,11 +570,13 @@ int main(int Argc, char **Argv) {
   // (reduction retraces via the process-wide session; it must not race).
   std::vector<Finding> Findings;
   SimAuditCounts Audit;
-  unsigned SeedsRun = 0;
+  unsigned SeedsRun = 0, SeedsTimedOut = 0;
   for (unsigned N = 0; N != O.Common.Count; ++N) {
     SeedOutcome &Out = Outcomes[N];
     if (Out.Ran)
       ++SeedsRun;
+    if (Out.TimedOut)
+      ++SeedsTimedOut;
     Audit.accumulate(Out.Audit);
     Diags.mergeFrom(Out.Diags);
     if (InjectorPtr && Out.HasInjector)
@@ -613,6 +624,13 @@ int main(int Argc, char **Argv) {
     if (!O.Common.Quiet)
       printf("fuzzdiff: trace written to %s (%zu events)\n",
              O.Common.TracePath.c_str(), RunTrace.eventCount());
+  }
+
+  if (SeedsTimedOut != 0) {
+    fprintf(stderr,
+            "fuzzdiff: --max-seconds=%g ran out: %u of %u seed(s) skipped\n",
+            O.MaxSeconds, SeedsTimedOut, O.Common.Count);
+    return 1;
   }
 
   // Self-test mode must find something; normal mode must not.
