@@ -70,12 +70,6 @@ public:
   }
 
 private:
-  unsigned fieldsOf(NewInst *New) const {
-    if (!ClassTable)
-      return 0;
-    return ClassTable->getClass(New->getClassId()).NumFields;
-  }
-
   /// Main traversal: mirrors CE + read elimination context building, read
   /// only. \p State is the memory knowledge at block entry.
   void visit(Block *B, MemoryState State) {
@@ -90,34 +84,11 @@ private:
         }
       }
     }
-    if (B->getNumPreds() >= 2 ||
-        (DT.getIdom(B) && B->getNumPreds() == 1 &&
-         B->preds()[0] != DT.getIdom(B)))
-      State.clear();
+    State.enter(B, DT);
 
     for (Instruction *I : *B) {
-      switch (I->getOpcode()) {
-      case Opcode::New:
-        State.recordAllocation(cast<NewInst>(I), fieldsOf(cast<NewInst>(I)));
-        break;
-      case Opcode::LoadField: {
-        auto *Load = cast<LoadFieldInst>(I);
-        State.recordLoad(Load);
-        break;
-      }
-      case Opcode::StoreField: {
-        auto *Store = cast<StoreFieldInst>(I);
-        State.recordStore(Store->getObject(), Store->getFieldIndex(),
-                          Store->getValue());
-        break;
-      }
-      case Opcode::Call:
-      case Opcode::Invoke:
-        State.killForCall();
-        break;
-      default:
-        break;
-      }
+      State.recordEscapes(I);
+      State.recordEffect(I, ClassTable);
     }
 
     // Pause: a merge successor reached by jump spawns a DST (paper
@@ -288,6 +259,9 @@ private:
                       std::unordered_map<Instruction *, Instruction *> &Syn,
                       const Resolver &Resolve, const StampLookup &StampOf,
                       DuplicationCandidate &C) {
+    // The merge's phis are skipped: the phi escape is exactly what
+    // duplication removes, so an allocation flowing in from P stays fresh.
+    Memory.recordEscapes(I, Resolve);
     switch (I->getOpcode()) {
     case Opcode::LoadField: {
       auto *Load = cast<LoadFieldInst>(I);
@@ -316,10 +290,8 @@ private:
     }
     case Opcode::Call:
     case Opcode::Invoke:
-      Memory.killForCall();
-      return I->estimatedSize();
     case Opcode::New:
-      Memory.recordAllocation(cast<NewInst>(I), fieldsOf(cast<NewInst>(I)));
+      Memory.recordEffect(I, ClassTable);
       return I->estimatedSize();
     default:
       break;

@@ -39,8 +39,9 @@ struct SimulationStats {
 /// Simulates every predecessor->merge duplication in \p F and returns the
 /// candidates that showed any optimization potential, unsorted.
 ///
-/// \p ClassTable enables freshness reasoning for allocations (may be
-/// null). \p Stats, when non-null, receives aggregate counters.
+/// \p ClassTable supplies allocations' field counts, whose zero
+/// initialization the memory model knows (may be null). \p Stats, when
+/// non-null, receives aggregate counters.
 /// \p MaxPathLength > 1 additionally continues each DST through a merge
 /// that ends in a jump to another merge (paper §8: "the simulation tier
 /// can simulate along paths"), emitting a separate path candidate when

@@ -7,8 +7,11 @@
 /// \file
 /// The memory knowledge read elimination and the DBDS simulation tier
 /// track: which (object, field) locations hold which SSA value, plus the
-/// set of fresh (never-escaping) allocations whose fields are exactly
-/// known. Value-copyable so traversals can fork per dominator-tree child.
+/// set of allocations still fresh on the current dominator path (defined
+/// on it and not yet escaped on it), whose fields stay exactly known
+/// across calls and aliasing stores. Value-copyable so traversals can
+/// fork per dominator-tree child: each branch keeps its own escape
+/// history.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,30 +19,51 @@
 #define DBDS_OPTS_MEMORYSTATE_H
 
 #include "ir/Function.h"
+#include "opts/Canonicalize.h"
 
 #include <unordered_map>
 #include <unordered_set>
 
 namespace dbds {
 
-/// A flow-sensitive (object, field) -> value map with freshness tracking.
-/// (The escape predicate backing the freshness reasoning lives in
+class DominatorTree;
+
+/// A flow-sensitive (object, field) -> value map with path-local
+/// freshness. (The escape classification it consults lives in
 /// opts/PartialEscape.h.)
 class MemoryState {
 public:
-  /// Forgets everything (used at merge points).
+  /// The one merge-entry rule: a block another path than its immediate
+  /// dominator may reach (a merge, or a loop header via its back edge)
+  /// trusts no memory fact, so entering it forgets everything.
+  void enter(Block *B, const DominatorTree &DT);
+
+  /// Forgets everything.
   void clear();
 
-  /// Registers a fresh allocation: if it provably never escapes, its
-  /// \p NumFields fields are known to be zero and opaque calls cannot
-  /// touch it.
+  /// Registers an allocation: it is fresh from here until its first
+  /// escaping use on this path, and its \p NumFields fields are known to
+  /// be zero.
   void recordAllocation(NewInst *New, unsigned NumFields);
+
+  /// Ends the freshness of every fresh allocation that \p User lets
+  /// escape, with \p User's operands seen through \p Resolve. Call it
+  /// before applying \p User's own effect: a call that receives a fresh
+  /// object may then write it.
+  void recordEscapes(const Instruction *User,
+                     const Resolver &Resolve = identityResolver) {
+    if (!Fresh.empty())
+      endEscapingFreshness(User, Resolve);
+  }
+
+  /// Applies \p I's own memory effect, its operands taken as they are: an
+  /// allocation (field counts from \p ClassTable, may be null), a
+  /// performed load, a store, or an opaque call. Other instructions have
+  /// none.
+  void recordEffect(Instruction *I, const Module *ClassTable);
 
   /// Applies a store: kills may-alias entries, records the new value.
   void recordStore(Instruction *Object, unsigned Field, Instruction *Value);
-
-  /// Records a performed load so later identical loads are redundant.
-  void recordLoad(LoadFieldInst *Load);
 
   /// Records availability without any kill (reads do not invalidate).
   void recordAvailable(Instruction *Object, unsigned Field,
@@ -56,6 +80,8 @@ public:
   }
 
 private:
+  void endEscapingFreshness(const Instruction *User, const Resolver &Resolve);
+
   struct KeyHash {
     size_t operator()(const std::pair<Instruction *, unsigned> &K) const {
       return std::hash<Instruction *>()(K.first) * 31 + K.second;

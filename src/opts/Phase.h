@@ -76,12 +76,13 @@ public:
 /// Read elimination (paper §2): forwards stored/loaded field values within
 /// extended basic blocks along the dominator tree; merge blocks reset
 /// memory knowledge (duplication is exactly what turns partially redundant
-/// reads into fully redundant ones, Listing 5/6). Knows fresh allocations'
-/// fields are zero and keeps them alive across opaque calls.
+/// reads into fully redundant ones, Listing 5/6). Until an allocation's
+/// first escape on the path, knows its fields and keeps them alive across
+/// opaque calls and aliasing stores.
 class ReadElimination : public Phase {
 public:
-  /// \p ClassTable supplies field counts for zero-initialized fresh
-  /// allocations; pass null to disable freshness reasoning.
+  /// \p ClassTable supplies field counts for zero-initialized
+  /// allocations; pass null to forgo the zero-field knowledge.
   explicit ReadElimination(const Module *ClassTable = nullptr)
       : ClassTable(ClassTable) {}
 
@@ -141,9 +142,9 @@ public:
   bool run(Function &F, unsigned MaxRounds = 4);
 
   /// The standard cleanup pipeline used after duplication and by the
-  /// baseline configuration: canonicalize, CE, read elimination, DCE,
-  /// simplify-cfg. \p ClassTable enables freshness reasoning in read
-  /// elimination.
+  /// baseline configuration: canonicalize, value numbering, CE, read
+  /// elimination, partial escape, DCE, simplify-cfg. \p ClassTable
+  /// supplies read elimination's field counts.
   static PhaseManager standardPipeline(bool Verify = true,
                                        const Module *ClassTable = nullptr);
 

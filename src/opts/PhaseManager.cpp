@@ -240,7 +240,7 @@ PhaseManager PhaseManager::standardPipeline(bool Verify,
   PM.add(std::make_unique<ValueNumbering>());
   PM.add(std::make_unique<ConditionalElimination>());
   PM.add(std::make_unique<ReadElimination>(ClassTable));
-  PM.add(std::make_unique<PartialEscapePhase>(ClassTable));
+  PM.add(std::make_unique<PartialEscapePhase>());
   PM.add(std::make_unique<DeadCodeElimination>());
   PM.add(std::make_unique<SimplifyCFG>());
   return PM;

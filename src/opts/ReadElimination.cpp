@@ -12,10 +12,15 @@
 // partially redundant read copied into a predecessor becomes fully
 // redundant there (paper Listing 5/6).
 //
-// Fresh, non-escaping allocations additionally expose zero-initialized
-// fields and survive opaque calls; once duplication removes an
-// allocation's phi escape, load-forwarding here and scalar replacement in
-// opts/PartialEscape reproduce the paper's PEA effect (Listing 3/4).
+// An allocation is fresh from its definition to its first escaping use on
+// the current path (useEscapesAllocation, the classification partial
+// escape analysis uses too): until then its zero-initialized fields are
+// exactly known and survive opaque calls and aliasing stores. Each
+// dominator child gets its own copy of the state, so an escape on one
+// branch does not poison the sibling. A merge phi is an escape the merge
+// clear already covers; once duplication removes it, the copied loads
+// forward here and opts/PartialEscape scalar-replaces the allocation
+// (Listing 3/4). The Simulator prices both through the same MemoryState.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,18 +31,36 @@
 
 using namespace dbds;
 
+void MemoryState::enter(Block *B, const DominatorTree &DT) {
+  // A merge can be reached along paths this walk did not take. (Loop
+  // headers are merges via their back edge.)
+  Block *Idom = DT.getIdom(B);
+  if (B->getNumPreds() >= 2 ||
+      (Idom && B->getNumPreds() == 1 && B->preds()[0] != Idom))
+    clear();
+}
+
 void MemoryState::clear() {
   Available.clear();
   Fresh.clear();
 }
 
 void MemoryState::recordAllocation(NewInst *New, unsigned NumFields) {
-  if (!allocationDoesNotEscape(New))
-    return;
   Fresh.insert(New);
   ConstantInst *Zero = New->getFunction()->constant(0);
   for (unsigned Field = 0; Field != NumFields; ++Field)
     Available[{New, Field}] = Zero;
+}
+
+void MemoryState::endEscapingFreshness(const Instruction *User,
+                                       const Resolver &Resolve) {
+  // The object's known fields stay valid at the escape itself; from here
+  // on they are ordinary entries that calls and aliasing stores may kill.
+  for (Instruction *Op : User->operands()) {
+    auto *New = dyn_cast<NewInst>(Resolve(Op));
+    if (New && Fresh.count(New) && useEscapesAllocation(New, User, Resolve))
+      Fresh.erase(New);
+  }
 }
 
 void MemoryState::recordStore(Instruction *Object, unsigned Field,
@@ -60,8 +83,33 @@ Instruction *MemoryState::lookup(Instruction *Object, unsigned Field) const {
   return It == Available.end() ? nullptr : It->second;
 }
 
-void MemoryState::recordLoad(LoadFieldInst *Load) {
-  Available[{Load->getObject(), Load->getFieldIndex()}] = Load;
+void MemoryState::recordEffect(Instruction *I, const Module *ClassTable) {
+  switch (I->getOpcode()) {
+  case Opcode::New: {
+    auto *New = cast<NewInst>(I);
+    recordAllocation(
+        New, ClassTable ? ClassTable->getClass(New->getClassId()).NumFields
+                        : 0);
+    break;
+  }
+  case Opcode::LoadField: {
+    // A performed load makes later identical loads redundant.
+    auto *Load = cast<LoadFieldInst>(I);
+    recordAvailable(Load->getObject(), Load->getFieldIndex(), Load);
+    break;
+  }
+  case Opcode::StoreField: {
+    auto *Store = cast<StoreFieldInst>(I);
+    recordStore(Store->getObject(), Store->getFieldIndex(), Store->getValue());
+    break;
+  }
+  case Opcode::Call:
+  case Opcode::Invoke:
+    killForCall();
+    break;
+  default:
+    break;
+  }
 }
 
 void MemoryState::recordAvailable(Instruction *Object, unsigned Field,
@@ -70,8 +118,8 @@ void MemoryState::recordAvailable(Instruction *Object, unsigned Field,
 }
 
 void MemoryState::killForCall() {
-  // An opaque call can read/write any escaped object, but not a fresh,
-  // never-escaping allocation.
+  // An opaque call can read/write any escaped object, but not an
+  // allocation that has not escaped on this path.
   for (auto It = Available.begin(); It != Available.end();)
     It = Fresh.count(It->first.first) ? ++It : Available.erase(It);
 }
@@ -90,61 +138,33 @@ public:
   }
 
 private:
-  unsigned fieldsOf(NewInst *New) const {
-    if (!M)
-      return 0;
-    return M->getClass(New->getClassId()).NumFields;
-  }
-
   void visit(Block *B, MemoryState State) {
-    // A merge can be reached along paths this walk did not take; drop all
-    // memory knowledge. (Loop headers are merges via their back edge.)
-    if (B->getNumPreds() >= 2 ||
-        (DT.getIdom(B) && B->getNumPreds() == 1 &&
-         B->preds()[0] != DT.getIdom(B)))
-      State.clear();
+    State.enter(B, DT);
 
     SmallVector<Instruction *, 16> Insts(B->begin(), B->end());
     for (Instruction *I : Insts) {
       if (I->getBlock() != B)
         continue;
-      switch (I->getOpcode()) {
-      case Opcode::New:
-        State.recordAllocation(cast<NewInst>(I), fieldsOf(cast<NewInst>(I)));
-        break;
-      case Opcode::LoadField: {
-        auto *Load = cast<LoadFieldInst>(I);
+      State.recordEscapes(I);
+      if (auto *Load = dyn_cast<LoadFieldInst>(I)) {
         if (Instruction *Known =
                 State.lookup(Load->getObject(), Load->getFieldIndex())) {
           Load->replaceAllUsesWith(Known);
           B->remove(Load);
           Changed = true;
-          break;
+          continue;
         }
-        State.recordLoad(Load);
-        break;
-      }
-      case Opcode::StoreField: {
-        auto *Store = cast<StoreFieldInst>(I);
+      } else if (auto *Store = dyn_cast<StoreFieldInst>(I)) {
         // Store of the value the location is already known to hold is
         // redundant.
         if (State.lookup(Store->getObject(), Store->getFieldIndex()) ==
             Store->getValue()) {
           B->remove(Store);
           Changed = true;
-          break;
+          continue;
         }
-        State.recordStore(Store->getObject(), Store->getFieldIndex(),
-                          Store->getValue());
-        break;
       }
-      case Opcode::Call:
-      case Opcode::Invoke:
-        State.killForCall();
-        break;
-      default:
-        break;
-      }
+      State.recordEffect(I, M);
     }
 
     for (Block *Child : DT.children(B)) {

@@ -409,18 +409,18 @@ std::string counterReport(const char *Counters) {
 }
 
 // The pea.* family is optimizer work done, so it gates on shrinkage:
-// fewer loads forwarded / allocations virtualized than the baseline run
+// fewer stores eliminated / allocations virtualized than the baseline run
 // is the regression, growth never is.
 TEST(BenchCompareTest, PeaCounterShrinkageGates) {
   BenchCompareOptions Opts; // 10% threshold
   BenchCompareResult Res = compareBenchReports(
-      counterReport("\"pea.loads_forwarded\":100"),
-      counterReport("\"pea.loads_forwarded\":80"), Opts);
+      counterReport("\"pea.stores_eliminated\":100"),
+      counterReport("\"pea.stores_eliminated\":80"), Opts);
   EXPECT_TRUE(Res.Ok);
   EXPECT_EQ(Res.Regressions, 1u);
 
-  Res = compareBenchReports(counterReport("\"pea.loads_forwarded\":100"),
-                            counterReport("\"pea.loads_forwarded\":200"),
+  Res = compareBenchReports(counterReport("\"pea.stores_eliminated\":100"),
+                            counterReport("\"pea.stores_eliminated\":200"),
                             Opts);
   EXPECT_TRUE(Res.Ok);
   EXPECT_EQ(Res.Regressions, 0u);
@@ -432,7 +432,7 @@ TEST(BenchCompareTest, PeaCounterMissingOnNewSideIsACollapseToZero) {
   // worst shrinkage. A key only the new side has is not comparable.
   BenchCompareResult Res = compareBenchReports(
       counterReport("\"pea.allocs_sunk\":5"),
-      counterReport("\"pea.loads_forwarded\":5"), BenchCompareOptions());
+      counterReport("\"pea.stores_eliminated\":5"), BenchCompareOptions());
   EXPECT_TRUE(Res.Ok);
   EXPECT_EQ(Res.Regressions, 1u);
 }

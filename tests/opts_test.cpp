@@ -518,6 +518,48 @@ b0:
   EXPECT_EQ(countOpcode(*P.F, Opcode::StoreField), 1u);
 }
 
+// Freshness is path-local: before its first escape an allocation's fields
+// are known zeros, so a zero store into it is redundant even though the
+// allocation escapes later. After the escape a call may write it, so the
+// same store (and a load) must stay.
+TEST(ReadEliminationTest, ZeroStoreBeforeEscapeRemoved) {
+  Parsed P = parse(R"(
+class A 2
+
+func @f(obj, int) {
+b0:
+  %a = param 0
+  %v = param 1
+  %z = const 0
+  %o = new 0
+  store %o, 0, %z
+  store %o, 1, %v
+  store %a, 0, %o
+  %x = call 1(%v)
+  store %o, 0, %z
+  %l = load %o, 1
+  ret %l
+}
+)");
+  ReadElimination RE(P.Mod.get());
+  EXPECT_TRUE(RE.run(*P.F));
+  ASSERT_EQ(verifyFunction(*P.F), "");
+  EXPECT_EQ(countOpcode(*P.F, Opcode::StoreField), 3u);
+  EXPECT_EQ(countOpcode(*P.F, Opcode::LoadField), 1u);
+  // The surviving zero store is the one after the escape.
+  Instruction *FirstStore = nullptr;
+  for (Instruction *I : *P.F->getEntry())
+    if (isa<StoreFieldInst>(I) && !FirstStore)
+      FirstStore = I;
+  ASSERT_NE(FirstStore, nullptr);
+  EXPECT_EQ(cast<StoreFieldInst>(FirstStore)->getFieldIndex(), 1u);
+
+  Interpreter Interp(*P.Mod);
+  RuntimeValue Args[2] = {Interp.allocate(0), RuntimeValue::ofInt(7)};
+  EXPECT_EQ(Interp.run(*P.F, ArrayRef<RuntimeValue>(Args, 2)).Result.Scalar,
+            7);
+}
+
 // ---- DCE -----------------------------------------------------------------------
 
 TEST(DCETest, RemovesDeadArithmeticChains) {

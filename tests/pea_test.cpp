@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The §5.2 story end to end: escape-classification units, the virtual-
-// object walk (flow- and branch-sensitive load forwarding), scalar
-// replacement and lazy materialization, the paper-example regression
-// (Listing 3 is scalar-replaced only once DBDS removes the merge), and
-// the --jobs determinism contract for the PEA-bearing pipeline.
+// The §5.2 story end to end: escape-classification units, read
+// elimination's path-local freshness feeding PEA (flow- and branch-
+// sensitive load forwarding, then scalar replacement), lazy
+// materialization, simulator pricing that matches the delivery, the
+// paper-example regression (Listing 3 is scalar-replaced only once DBDS
+// removes the merge), and the --jobs determinism contract for the
+// PEA-bearing pipeline.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "analysis/SimAudit.h"
 #include "analysis/Verifier.h"
 #include "dbds/DBDSPhase.h"
+#include "dbds/Duplicator.h"
 #include "dbds/Simulator.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -80,6 +83,23 @@ Instruction *findFirst(Function &F, Opcode Op) {
   return nullptr;
 }
 
+/// escapeFate for the one allocation of \p P, asked the way the Simulator
+/// asks it (merge phi dropped) or the way the phase does (nothing dropped).
+EscapeFate fateOf(Parsed &P, bool DropPhi) {
+  DominatorTree DT(*P.F);
+  LoopInfo LI(*P.F, DT);
+  return escapeFate(findNew(*P.F), DT, LI,
+                    DropPhi ? findFirst(*P.F, Opcode::Phi) : nullptr);
+}
+
+/// The pipeline slice PEA runs in: read elimination forwards the loads of
+/// allocations not yet escaped on the path, then PEA decides each
+/// allocation's fate.
+bool runReadEliminationThenPEA(Parsed &P, PartialEscapeStats &Stats) {
+  bool Changed = ReadElimination(P.Mod.get()).run(*P.F);
+  return PartialEscapePhase().run(*P.F, Stats) || Changed;
+}
+
 // ---- Escape classification ----------------------------------------------
 
 // Every use kind in one function: field load and initializer store do not
@@ -121,7 +141,7 @@ TEST(EscapePredicateTest, ClassifiesEveryUseKind) {
   ASSERT_NE(ValueStore, nullptr);
   EXPECT_TRUE(useEscapesAllocation(New, ValueStore));
 
-  EXPECT_FALSE(allocationDoesNotEscape(New));
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/false).K, EscapeFate::Stays);
 }
 
 TEST(EscapePredicateTest, PhiForwardingEscapes) {
@@ -131,7 +151,17 @@ TEST(EscapePredicateTest, PhiForwardingEscapes) {
   Instruction *Phi = findFirst(*P.F, Opcode::Phi);
   ASSERT_NE(Phi, nullptr);
   EXPECT_TRUE(useEscapesAllocation(New, Phi));
-  EXPECT_FALSE(allocationDoesNotEscape(New));
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/false).K, EscapeFate::Stays);
+
+  // Seen through the simulator's synonym map (the phi resolved to its
+  // input on b1's edge), the merge's load reads a field of the allocation
+  // and does not escape it.
+  Instruction *Load = findFirst(*P.F, Opcode::LoadField);
+  auto ThroughPhi = [&](Instruction *V) -> Instruction * {
+    return V == Phi ? New : V;
+  };
+  EXPECT_TRUE(useEscapesAllocation(New, Load));
+  EXPECT_FALSE(useEscapesAllocation(New, Load, ThroughPhi));
 }
 
 TEST(EscapePredicateTest, PureAccessorUsesDoNotEscape) {
@@ -147,12 +177,11 @@ b0:
   ret %f
 }
 )");
-  NewInst *New = findNew(*P.F);
-  ASSERT_NE(New, nullptr);
-  EXPECT_TRUE(allocationDoesNotEscape(New));
+  ASSERT_NE(findNew(*P.F), nullptr);
+  EXPECT_EQ(fateOf(P, /*DropPhi=*/false).K, EscapeFate::Dies);
 }
 
-// ---- The virtual-object walk --------------------------------------------
+// ---- Read elimination + PEA ---------------------------------------------
 
 TEST(PartialEscapePhaseTest, ScalarReplacesNeverEscapingAllocation) {
   Parsed P = parse(R"(
@@ -168,12 +197,10 @@ b0:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
-  EXPECT_TRUE(Phase.run(*P.F, Stats));
+  EXPECT_TRUE(runReadEliminationThenPEA(P, Stats));
   EXPECT_EQ(verifyFunction(*P.F), "");
 
   EXPECT_EQ(Stats.AllocationsTracked, 1u);
-  EXPECT_EQ(Stats.LoadsForwarded, 1u);
   EXPECT_EQ(Stats.StoresEliminated, 1u);
   EXPECT_EQ(Stats.AllocsScalarReplaced, 1u);
   EXPECT_EQ(countOpcode(*P.F, Opcode::New), 0u);
@@ -203,7 +230,7 @@ b0:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
+  PartialEscapePhase Phase;
   EXPECT_TRUE(Phase.run(*P.F, Stats));
   ASSERT_EQ(verifyFunction(*P.F), "");
   EXPECT_EQ(Stats.AllocsScalarReplaced, 1u);
@@ -224,10 +251,10 @@ b0:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
-  EXPECT_TRUE(Phase.run(*P.F, Stats));
+  EXPECT_TRUE(runReadEliminationThenPEA(P, Stats));
   EXPECT_EQ(verifyFunction(*P.F), "");
-  EXPECT_EQ(Stats.LoadsForwarded, 1u);
+  EXPECT_EQ(countOpcode(*P.F, Opcode::LoadField), 0u);
+  EXPECT_EQ(Stats.AllocsScalarReplaced, 1u);
   EXPECT_EQ(countOpcode(*P.F, Opcode::New), 0u);
 
   Interpreter Interp(*P.Mod);
@@ -261,11 +288,13 @@ b2:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
-  EXPECT_TRUE(Phase.run(*P.F, Stats));
+  EXPECT_TRUE(runReadEliminationThenPEA(P, Stats));
   EXPECT_EQ(verifyFunction(*P.F), "");
-  EXPECT_EQ(Stats.LoadsForwarded, 1u);
   EXPECT_EQ(countOpcode(*P.F, Opcode::LoadField), 1u);
+  // The survivor is b1's, after the call.
+  EXPECT_EQ(countOpcode(findFirst(*P.F, Opcode::Call)->getBlock(),
+                        Opcode::LoadField),
+            1u);
   EXPECT_EQ(countOpcode(*P.F, Opcode::New), 1u);
 }
 
@@ -288,10 +317,13 @@ b0:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
-  EXPECT_TRUE(Phase.run(*P.F, Stats));
-  EXPECT_EQ(Stats.LoadsForwarded, 1u);
+  EXPECT_TRUE(runReadEliminationThenPEA(P, Stats));
+  EXPECT_EQ(verifyFunction(*P.F), "");
   EXPECT_EQ(countOpcode(*P.F, Opcode::LoadField), 1u);
+  // The survivor is %after: the load past the call.
+  Block *Entry = P.F->getEntry();
+  EXPECT_GT(Entry->indexOf(findFirst(*P.F, Opcode::LoadField)),
+            Entry->indexOf(findFirst(*P.F, Opcode::Call)));
 }
 
 // Lazy materialization: every escape confined to one strictly dominated
@@ -320,7 +352,7 @@ b3:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
+  PartialEscapePhase Phase;
   EXPECT_TRUE(Phase.run(*P.F, Stats));
   EXPECT_EQ(verifyFunction(*P.F), "");
   EXPECT_EQ(Stats.AllocsSunk, 1u);
@@ -353,7 +385,7 @@ b2:
 }
 )");
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
+  PartialEscapePhase Phase;
   Phase.run(*P.F, Stats);
   EXPECT_EQ(verifyFunction(*P.F), "");
   // Re-allocating per iteration would change semantics and cost; the
@@ -365,7 +397,7 @@ b2:
 TEST(PartialEscapePhaseTest, DoesNotSinkAcrossAPhiUse) {
   Parsed P = parse(paper::Listing3);
   PartialEscapeStats Stats;
-  PartialEscapePhase Phase(P.Mod.get());
+  PartialEscapePhase Phase;
   Phase.run(*P.F, Stats);
   EXPECT_EQ(verifyFunction(*P.F), "");
   // The phi use lives on the incoming edge, not in a sinkable block.
@@ -404,15 +436,6 @@ b3:
 }
 )";
 
-/// escapeFate for the one allocation of \p P, asked the way the Simulator
-/// asks it (merge phi dropped) or the way the phase does (nothing dropped).
-EscapeFate fateOf(Parsed &P, bool DropPhi) {
-  DominatorTree DT(*P.F);
-  LoopInfo LI(*P.F, DT);
-  return escapeFate(findNew(*P.F), DT, LI,
-                    DropPhi ? findFirst(*P.F, Opcode::Phi) : nullptr);
-}
-
 TEST(SimulatorPEATest, Listing3PricesTheFullUnescape) {
   Parsed P = parse(paper::Listing3);
   SimulationStats Stats;
@@ -427,6 +450,68 @@ TEST(SimulatorPEATest, ResidualEscapePricesAsPartialEscape) {
   simulateDuplications(*P.F, P.Mod.get(), &Stats);
   EXPECT_GE(Stats.Opportunities.PartialEscapes, 1u);
   EXPECT_EQ(Stats.Opportunities.AllocationSinks, 0u);
+}
+
+// Price = delivery for field facts: the merge reads a never-written field
+// of the allocation flowing in from b1, before the call that lets it
+// escape. The simulator prices that load on the b1 -> b3 pair; after the
+// duplication, read elimination in the standard pipeline removes it.
+TEST(SimulatorPEATest, UnwrittenFieldLoadPricedAndDelivered) {
+  const char *Source = R"(
+class A 2
+
+func @zeroload(obj, int) {
+b0:
+  %a = param 0
+  %x = param 1
+  %zero = const 0
+  %c = cmp gt %x, %zero
+  if %c, b1, b2 !0.5
+b1:
+  %new = new 0
+  jump b3
+b2:
+  jump b3
+b3:
+  %p = phi obj [%new, b1], [%a, b2]
+  %f = load %p, 1
+  %r = call 1(%p)
+  %s = add %f, %r
+  ret %s
+}
+)";
+  Parsed P = parse(Source);
+  SimulationStats Stats;
+  std::vector<DuplicationCandidate> Candidates =
+      simulateDuplications(*P.F, P.Mod.get(), &Stats);
+  Block *Alloc = findNew(*P.F)->getBlock();
+  Block *Merge = findFirst(*P.F, Opcode::Phi)->getBlock();
+  bool Priced = false;
+  for (const DuplicationCandidate &C : Candidates)
+    if (C.PredId == Alloc->getId() && C.MergeId == Merge->getId())
+      Priced = C.Opportunities.ReadEliminations == 1;
+  EXPECT_TRUE(Priced);
+  EXPECT_EQ(Stats.Opportunities.ReadEliminations, 1u);
+
+  auto Run = [](Parsed &Q, int64_t X) {
+    Interpreter Interp(*Q.Mod);
+    RuntimeValue Args[2] = {Interp.allocate(0), RuntimeValue::ofInt(X)};
+    return Interp.run(*Q.F, ArrayRef<RuntimeValue>(Args, 2)).Result.Scalar;
+  };
+  Parsed Reference = parse(Source);
+
+  duplicateIntoPredecessor(*P.F, Merge, Alloc);
+  PhaseManager PM =
+      PhaseManager::standardPipeline(/*Verify=*/true, P.Mod.get());
+  PM.run(*P.F);
+  ASSERT_EQ(verifyFunction(*P.F), "");
+  // Only b2's load of the caller's object is left.
+  ASSERT_EQ(countOpcode(*P.F, Opcode::LoadField), 1u);
+  EXPECT_FALSE(isa<NewInst>(
+      cast<LoadFieldInst>(findFirst(*P.F, Opcode::LoadField))->getObject()));
+  EXPECT_EQ(countOpcode(*P.F, Opcode::New), 1u); // still escapes to the call
+  for (int64_t X : {5, -5})
+    EXPECT_EQ(Run(P, X), Run(Reference, X)) << "x = " << X;
 }
 
 // ---- §5.2 paper-example regression --------------------------------------

@@ -123,9 +123,10 @@ TEST_F(MemoryStateTest, FreshAllocationIsImmuneToAliasAndCalls) {
   IRBuilder Builder(F);
   Builder.setBlock(B);
   NewInst *Fresh = Builder.newObject(0);
-  Builder.store(Fresh, 0, V); // only non-escaping uses
+  StoreFieldInst *Init = Builder.store(Fresh, 0, V); // not an escape
   MemoryState S;
   S.recordAllocation(Fresh, 2);
+  S.recordEscapes(Init);
   EXPECT_TRUE(S.isFresh(Fresh));
   // Zero-initialized fields are known.
   EXPECT_NE(S.lookup(Fresh, 0), nullptr);
@@ -138,16 +139,26 @@ TEST_F(MemoryStateTest, FreshAllocationIsImmuneToAliasAndCalls) {
   EXPECT_NE(S.lookup(Fresh, 0), nullptr);
 }
 
+// Freshness is path-local: an allocation is fresh from its definition
+// until its first escaping use is recorded, not never-fresh because an
+// escape exists somewhere in the function.
 TEST_F(MemoryStateTest, EscapingAllocationIsNotFresh) {
   IRBuilder Builder(F);
   Builder.setBlock(B);
   NewInst *Escaping = Builder.newObject(0);
-  Builder.store(A1, 0, Escaping); // stored AS VALUE: escapes
-  EXPECT_FALSE(allocationDoesNotEscape(Escaping));
+  StoreFieldInst *Publish = Builder.store(A1, 0, Escaping); // stored AS VALUE
+  EXPECT_TRUE(useEscapesAllocation(Escaping, Publish));
   MemoryState S;
   S.recordAllocation(Escaping, 2);
+  EXPECT_TRUE(S.isFresh(Escaping));
+  EXPECT_NE(S.lookup(Escaping, 0), nullptr); // zero-init knowledge
+  S.recordEscapes(Publish);
   EXPECT_FALSE(S.isFresh(Escaping));
-  EXPECT_EQ(S.lookup(Escaping, 0), nullptr); // no zero-init knowledge
+  // The fields are still known at the escape, but an opaque call may now
+  // write them.
+  EXPECT_NE(S.lookup(Escaping, 0), nullptr);
+  S.killForCall();
+  EXPECT_EQ(S.lookup(Escaping, 0), nullptr);
 }
 
 TEST_F(MemoryStateTest, ClearForgetsEverything) {
