@@ -6,9 +6,13 @@
 
 #include "analysis/DominatorTree.h"
 
+#include "telemetry/Counters.h"
+
 #include <algorithm>
 
 using namespace dbds;
+
+DBDS_COUNTER(analysis, domtree_builds);
 
 std::vector<Block *> dbds::computeRPO(Function &F) {
   std::unordered_map<Block *, unsigned> State; // 0 new, 1 open, 2 done
@@ -38,6 +42,7 @@ std::vector<Block *> dbds::computeRPO(Function &F) {
 }
 
 DominatorTree::DominatorTree(Function &F) : F(F) {
+  ++domtree_builds;
   RPO = computeRPO(F);
   for (unsigned I = 0; I != RPO.size(); ++I)
     Info[RPO[I]].RPOIndex = I;

@@ -6,10 +6,15 @@
 
 #include "analysis/Loops.h"
 
+#include "telemetry/Counters.h"
+
 using namespace dbds;
+
+DBDS_COUNTER(analysis, loopinfo_builds);
 
 LoopInfo::LoopInfo(Function &F, const DominatorTree &DT) {
   (void)F;
+  ++loopinfo_builds;
   for (Block *B : DT.rpo()) {
     for (Block *S : B->succs()) {
       if (!isBackEdge(B, S, DT))

@@ -23,9 +23,10 @@
 #include "telemetry/Trace.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <unordered_set>
 
 using namespace dbds;
 
@@ -72,20 +73,40 @@ std::string checkAfterMutation(Function &F, const char *When,
   return Summary;
 }
 
-/// Revalidates a candidate against the current CFG (earlier duplications
-/// in the same iteration may have restructured it).
-bool candidateStillValid(Function &F, const DuplicationCandidate &C,
-                         Block *&M, Block *&P) {
-  M = F.getBlockById(C.MergeId);
-  P = F.getBlockById(C.PredId);
-  if (!M || !P || !canDuplicateInto(M, P))
-    return false;
-  DominatorTree DT(F);
-  if (!DT.isReachable(M) || !DT.isReachable(P))
-    return false;
-  LoopInfo LI(F, DT);
-  return !LI.isLoopHeader(M);
-}
+/// The optimize tier's dominance facts for the current CFG state: one
+/// dominator tree, shared by every candidate revalidated against it, and a
+/// LoopInfo built from it on first use. A duplication adopts the tree the
+/// duplicator built for its SSA repair, so the tree is rebuilt exactly once
+/// per CFG edit.
+class CFGState {
+public:
+  explicit CFGState(Function &F) : F(F) {}
+
+  /// True if \p M can be duplicated into \p P in the current CFG (earlier
+  /// duplications in the same iteration may have restructured it): the
+  /// structural check, both blocks reachable, and M not a loop header.
+  bool canDuplicate(Block *M, Block *P) {
+    if (!M || !P || !canDuplicateInto(M, P))
+      return false;
+    if (!DT)
+      DT.emplace(F);
+    if (!DT->isReachable(M) || !DT->isReachable(P))
+      return false;
+    if (!LI)
+      LI.emplace(F, *DT);
+    return !LI->isLoopHeader(M);
+  }
+
+  void duplicate(Block *M, Block *P) {
+    LI.reset();
+    duplicateIntoPredecessor(F, M, P, &DT);
+  }
+
+private:
+  Function &F;
+  std::optional<DominatorTree> DT;
+  std::optional<LoopInfo> LI;
+};
 
 } // namespace
 
@@ -249,11 +270,13 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
                       TS ? "\"iteration\":" + jsonNumber(Iter)
                          : std::string());
     uint64_t OptT0 = Metered ? Timer::nowNs() : 0;
+    CFGState CFG(F);
     for (const DuplicationCandidate &C : Candidates) {
       if (budgetExpired())
         break;
-      Block *M = nullptr, *P = nullptr;
-      if (!candidateStillValid(F, C, M, P)) {
+      Block *M = F.getBlockById(C.MergeId);
+      Block *P = F.getBlockById(C.PredId);
+      if (!CFG.canDuplicate(M, P)) {
         ++candidates_stale;
         if (DL) {
           DuplicationDecision D = makeDecision(C, F.estimatedCodeSize());
@@ -291,7 +314,7 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
           continue;
         }
       }
-      duplicateIntoPredecessor(F, M, P);
+      CFG.duplicate(M, P);
       if (!verifyOrRollback("after duplication")) {
         if (DL) {
           DuplicationDecision D = makeDecision(C, CurrentSize);
@@ -313,11 +336,8 @@ DBDSResult dbds::runDBDS(Function &F, const DBDSConfig &Config) {
         assert(Config.EnablePathDuplication &&
                "path candidate without the extension enabled");
         Block *M2 = F.getBlockById(C.SecondMergeId);
-        DominatorTree DT(F);
-        LoopInfo LI(F, DT);
-        if (M2 && canDuplicateInto(M2, P) && DT.isReachable(M2) &&
-            !LI.isLoopHeader(M2)) {
-          duplicateIntoPredecessor(F, M2, P);
+        if (CFG.canDuplicate(M2, P)) {
+          CFG.duplicate(M2, P);
           if (!verifyOrRollback("after path duplication")) {
             if (DL) {
               DuplicationDecision D = makeDecision(C, CurrentSize);

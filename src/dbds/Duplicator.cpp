@@ -104,32 +104,41 @@ Instruction *cloneWithMapping(
 
 /// Rewrites all uses of \p OrigDef that are no longer dominated by it:
 /// after duplication the value has two definitions (the original in M and
-/// \p CopyDef in P). Inserts phis at the iterated dominance frontier of
-/// the definition blocks and routes uses to their reaching definition.
-void reconstructSSA(Function &F, const DominatorTree &DT, Block *M, Block *P,
+/// \p CopyDef in P). A use reads the nearest definition up the dominator
+/// tree. A block of \p IDF, the iterated dominance frontier of {M, P},
+/// gets a phi only when such a walk reaches it, so repair builds just the
+/// phis a use needs (Braun et al., CC 2013, with the IDF as the join set).
+void reconstructSSA(Function &F, const DominatorTree &DT,
+                    const std::vector<Block *> &IDF, Block *M, Block *P,
                     Instruction *OrigDef, Instruction *CopyDef) {
+  // Definition per block. An IDF block maps to null until a walk reaches
+  // it, and takes precedence over M or P should it be one of them.
   std::unordered_map<Block *, Instruction *> DefAt;
   DefAt[M] = OrigDef;
   DefAt[P] = CopyDef;
-
-  // Phi shells at the IDF of the two definition blocks.
-  std::vector<PhiInst *> Shells;
-  for (Block *X : DT.iteratedFrontier({M, P})) {
-    auto *Shell = F.create<PhiInst>(OrigDef->getType());
-    X->insertPhi(Shell);
-    ++phis_created;
-    DefAt[X] = Shell;
-    Shells.push_back(Shell);
-  }
+  for (Block *X : IDF)
+    DefAt[X] = nullptr;
 
   // Reaching definition at the end of a block: nearest def walking the
-  // dominator tree upwards.
-  auto reachingDef = [&DefAt, &DT](Block *B) -> Instruction * {
+  // dominator tree upwards. A phi is registered before its inputs are
+  // filled (from Unfilled, below), so walks around a cycle end at it.
+  std::vector<PhiInst *> Unfilled;
+  auto reachingDef = [&](Block *B) -> Instruction * {
     for (Block *Walk = B; Walk; Walk = DT.getIdom(Walk)) {
       auto It = DefAt.find(Walk);
-      if (It != DefAt.end())
-        return It->second;
+      if (It == DefAt.end())
+        continue;
+      if (!It->second) {
+        auto *Phi = F.create<PhiInst>(OrigDef->getType());
+        Walk->insertPhi(Phi);
+        ++phis_created;
+        It->second = Phi;
+        Unfilled.push_back(Phi);
+      }
+      return It->second;
     }
+    // Every use was dominated by M before the transformation, so every
+    // path into it now passes through M or P.
     dbds_unreachable("use not reached by any definition");
   };
 
@@ -139,15 +148,7 @@ void reconstructSSA(Function &F, const DominatorTree &DT, Block *M, Block *P,
   for (Instruction *User : Users) {
     Block *UB = User->getBlock();
     assert(UB && "detached user during SSA reconstruction");
-    if (UB == M && !isa<PhiInst>(User))
-      continue; // still locally dominated by the original
     if (auto *Phi = dyn_cast<PhiInst>(User)) {
-      // Shell phis are filled below; skip them here.
-      bool IsShell = false;
-      for (PhiInst *Shell : Shells)
-        IsShell |= Shell == Phi;
-      if (IsShell)
-        continue;
       for (unsigned Idx = 0, E = Phi->getNumInputs(); Idx != E; ++Idx) {
         if (Phi->getInput(Idx) != OrigDef)
           continue;
@@ -160,7 +161,7 @@ void reconstructSSA(Function &F, const DominatorTree &DT, Block *M, Block *P,
     // Ordinary use: reaching definition on entry to the user's block. The
     // def blocks M and P themselves only contain uses dominated by their
     // local definition.
-    if (UB == P)
+    if (UB == M || UB == P)
       continue;
     Instruction *Reaching = reachingDef(UB);
     if (Reaching == OrigDef)
@@ -170,35 +171,20 @@ void reconstructSSA(Function &F, const DominatorTree &DT, Block *M, Block *P,
         User->setOperand(Idx, Reaching);
   }
 
-  // Fill the shells: one input per predecessor edge. An edge from a region
-  // no definition reaches can never flow into a real use (uses were
-  // dominated by M before the transformation); a dominating placeholder
-  // constant keeps SSA form valid and is swept together with the dead
-  // shell by DCE.
-  auto placeholder = [&F, OrigDef]() -> Instruction * {
-    if (OrigDef->getType() == Type::Obj)
-      return F.nullConstant();
-    return F.constant(0);
-  };
-  for (PhiInst *Shell : Shells) {
-    Block *X = Shell->getBlock();
-    for (Block *Pred : X->preds()) {
-      Instruction *Reaching = nullptr;
-      for (Block *Walk = Pred; Walk; Walk = DT.getIdom(Walk)) {
-        auto It = DefAt.find(Walk);
-        if (It != DefAt.end()) {
-          Reaching = It->second;
-          break;
-        }
-      }
-      Shell->appendInput(Reaching ? Reaching : placeholder());
-    }
+  // Fill the phis the walks built: one input per predecessor edge, each
+  // the reaching definition at the end of that predecessor.
+  while (!Unfilled.empty()) {
+    PhiInst *Phi = Unfilled.back();
+    Unfilled.pop_back();
+    for (Block *Pred : Phi->getBlock()->preds())
+      Phi->appendInput(reachingDef(Pred));
   }
 }
 
 } // namespace
 
-void dbds::duplicateIntoPredecessor(Function &F, Block *M, Block *P) {
+void dbds::duplicateIntoPredecessor(Function &F, Block *M, Block *P,
+                                    std::optional<DominatorTree> *DomTree) {
   assert(canDuplicateInto(M, P) && "structural preconditions violated");
   TraceSession *TS = TraceSession::active();
   TraceSpan Span(TS, "duplicate", "duplicator",
@@ -260,13 +246,17 @@ void dbds::duplicateIntoPredecessor(Function &F, Block *M, Block *P) {
 
   // SSA reconstruction for every value of M now defined twice: the merge
   // block no longer dominates its former subtree (P reaches it as well),
-  // so downstream uses are routed through freshly inserted phis.
+  // so downstream uses are routed through phis on the join blocks. The
+  // CFG edits are done, so one tree and one IDF serve every value.
   DominatorTree DT(F);
+  const std::vector<Block *> IDF = DT.iteratedFrontier({M, P});
   for (auto &[Phi, InputAtP] : PhiDefs)
-    reconstructSSA(F, DT, M, P, Phi, InputAtP);
+    reconstructSSA(F, DT, IDF, M, P, Phi, InputAtP);
   for (Instruction *I : Originals) {
     if (I->getType() == Type::Void || I->isTerminator())
       continue;
-    reconstructSSA(F, DT, M, P, I, ValueMap.at(I));
+    reconstructSSA(F, DT, IDF, M, P, I, ValueMap.at(I));
   }
+  if (DomTree)
+    DomTree->emplace(std::move(DT));
 }

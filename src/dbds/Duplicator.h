@@ -9,16 +9,19 @@
 /// merge block's instructions into one predecessor, substituting phi
 /// inputs, detaches that predecessor from the merge, and restores SSA form
 /// for values of the merge that are used in formerly-dominated blocks by
-/// inserting phis at iterated dominance frontiers — the "complex analysis
-/// to generate valid phi instructions for usages in dominated blocks" of
-/// §3.1.
+/// inserting phis on the iterated dominance frontier where a use needs
+/// one — the "complex analysis to generate valid phi instructions for
+/// usages in dominated blocks" of §3.1.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DBDS_DBDS_DUPLICATOR_H
 #define DBDS_DBDS_DUPLICATOR_H
 
+#include "analysis/DominatorTree.h"
 #include "ir/Function.h"
+
+#include <optional>
 
 namespace dbds {
 
@@ -32,8 +35,10 @@ bool canDuplicateInto(Block *M, Block *P);
 /// predecessor->merge pair, the unit the trade-off tier decides on).
 /// Preconditions: canDuplicateInto(M, P) and M is not a loop header.
 /// Leaves the function verifier-clean; follow-up folding is the cleanup
-/// pipeline's job.
-void duplicateIntoPredecessor(Function &F, Block *M, Block *P);
+/// pipeline's job. When \p DomTree is given, it receives the dominator
+/// tree of the post-duplication CFG that the SSA repair was built on.
+void duplicateIntoPredecessor(Function &F, Block *M, Block *P,
+                              std::optional<DominatorTree> *DomTree = nullptr);
 
 } // namespace dbds
 

@@ -8,10 +8,13 @@
 // encounter: merges ending in returns, branches, and jumps; values live
 // across later joins (SSA reconstruction); memory operations; chains of
 // merges; and interactions with subsequent cleanup. Every case checks the
-// verifier and interpreter-observable semantics on both paths.
+// verifier and interpreter-observable semantics on both paths. SSA repair
+// builds only the phis some use needs, and hands back the dominator tree
+// of the CFG it leaves behind.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Lint.h"
 #include "analysis/Loops.h"
 #include "analysis/Verifier.h"
 #include "dbds/DBDSPhase.h"
@@ -442,6 +445,137 @@ b5:
   EXPECT_EQ(Run(4, 2), R1);
   EXPECT_EQ(Run(-4, 2), R2);
   EXPECT_EQ(Run(4, 99), R3);
+}
+
+TEST(DuplicatorEdgeTest, RepairBuildsOnlyPhisThatAreUsed) {
+  // b3 defines five values (its phi and four instructions); only %x is
+  // used past the diamond b4/b5 that the duplication turns into two joins. The iterated dominance frontier
+  // {b4, b5, b6} is shared by every value, but only %x needs phis there.
+  Parsed P = parse(R"(
+func @f(int, int) {
+b0:
+  %a = param 0
+  %b = param 1
+  %z = const 0
+  %c = cmp gt %a, %z
+  if %c, b1, b2 !0.5
+b1:
+  jump b3
+b2:
+  jump b3
+b3:
+  %phi = phi int [%a, b1], [%b, b2]
+  %x = add %phi, %b
+  %y = mul %phi, %a
+  %w = sub %phi, %b
+  %c2 = cmp gt %y, %w
+  if %c2, b4, b5 !0.5
+b4:
+  jump b6
+b5:
+  jump b6
+b6:
+  %r = add %x, %b
+  ret %r
+}
+)");
+  Interpreter Interp(*P.Mod);
+  auto Run = [&](int64_t A, int64_t B) {
+    return Interp.run(*P.F, ArrayRef<int64_t>({A, B})).Result.Scalar;
+  };
+  const int64_t Grid[] = {-7, -1, 0, 1, 3, 9};
+  std::vector<int64_t> Before;
+  for (int64_t A : Grid)
+    for (int64_t B : Grid)
+      Before.push_back(Run(A, B));
+
+  Block *M = P.F->getBlockById(3);
+  duplicateIntoPredecessor(*P.F, M, P.F->getBlockById(1));
+  ASSERT_EQ(verifyFunction(*P.F), "");
+
+  // No cleanup ran: every phi repair built has a user.
+  unsigned DeadPhis = 0;
+  for (const LintFinding &Finding :
+       Linter::standard(P.Mod.get()).lint(*P.F).Findings)
+    DeadPhis += Finding.RuleId == "dead-phi";
+  EXPECT_EQ(DeadPhis, 0u);
+  // %x reaches b6 through one phi on each of b4, b5 and b6.
+  unsigned Phis = 0;
+  for (unsigned Id : {4u, 5u, 6u})
+    Phis += P.F->getBlockById(Id)->phis().size();
+  EXPECT_EQ(Phis, 3u);
+
+  size_t Idx = 0;
+  for (int64_t A : Grid)
+    for (int64_t B : Grid)
+      EXPECT_EQ(Run(A, B), Before[Idx++]) << "a=" << A << " b=" << B;
+}
+
+/// Expects \p Handed, the tree duplicateIntoPredecessor handed back, to
+/// agree with a tree built from scratch on reachability and every idom.
+void expectSameTree(Function &F, const DominatorTree &Handed) {
+  DominatorTree Fresh(F);
+  for (Block *B : F.blocks()) {
+    ASSERT_EQ(Handed.isReachable(B), Fresh.isReachable(B))
+        << "b" << B->getId();
+    if (Fresh.isReachable(B)) {
+      EXPECT_EQ(Handed.getIdom(B), Fresh.getIdom(B)) << "b" << B->getId();
+    }
+  }
+}
+
+TEST(DuplicatorEdgeTest, HandedBackTreeMatchesAFreshOne) {
+  // b4 is a merge ending in a jump into the merge b5: duplicating b4 into
+  // b2 and then b5 into b2 is the §8 path duplication.
+  Parsed P = parse(R"(
+func @f(int, int) {
+b0:
+  %a = param 0
+  %b = param 1
+  %z = const 0
+  %c = cmp gt %a, %z
+  if %c, b1, b6 !0.5
+b1:
+  %c1 = cmp gt %b, %z
+  if %c1, b2, b3 !0.5
+b2:
+  jump b4
+b3:
+  jump b4
+b4:
+  %p = phi int [%a, b2], [%b, b3]
+  %x = add %p, %b
+  jump b5
+b5:
+  %q = phi int [%x, b4], [%z, b6]
+  %r = add %q, %a
+  ret %r
+b6:
+  jump b5
+}
+)");
+  Interpreter Interp(*P.Mod);
+  auto Run = [&](int64_t A, int64_t B) {
+    return Interp.run(*P.F, ArrayRef<int64_t>({A, B})).Result.Scalar;
+  };
+  int64_t Cases[4][2] = {{3, 4}, {-3, 4}, {3, -4}, {-3, -4}};
+  int64_t Before[4];
+  for (int I = 0; I != 4; ++I)
+    Before[I] = Run(Cases[I][0], Cases[I][1]);
+
+  Block *B2 = P.F->getBlockById(2);
+  std::optional<DominatorTree> DT;
+  duplicateIntoPredecessor(*P.F, P.F->getBlockById(4), B2, &DT);
+  ASSERT_TRUE(DT.has_value());
+  expectSameTree(*P.F, *DT);
+
+  Block *M2 = P.F->getBlockById(5);
+  ASSERT_TRUE(canDuplicateInto(M2, B2));
+  duplicateIntoPredecessor(*P.F, M2, B2, &DT);
+  ASSERT_EQ(verifyFunction(*P.F), "");
+  expectSameTree(*P.F, *DT);
+  for (int I = 0; I != 4; ++I)
+    EXPECT_EQ(Run(Cases[I][0], Cases[I][1]), Before[I]) << "case " << I;
 }
 
 } // namespace
