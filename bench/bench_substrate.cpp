@@ -79,9 +79,8 @@ void BM_DuplicateOnePair(benchmark::State &State) {
     Function &F = *W.Mod->functions()[0];
     Block *Merge = nullptr, *Pred = nullptr;
     DominatorTree DT(F);
-    LoopInfo LI(F, DT);
     for (Block *B : F.blocks()) {
-      if (!B->isMerge() || LI.isLoopHeader(B))
+      if (!B->isMerge() || LoopInfo::isHeader(B, DT))
         continue;
       for (Block *P : B->preds())
         if (canDuplicateInto(B, P)) {

@@ -14,49 +14,24 @@ using namespace dbds;
 
 DBDS_COUNTER(analysis, domtree_builds);
 
-std::vector<Block *> dbds::computeRPO(Function &F) {
-  std::unordered_map<Block *, unsigned> State; // 0 new, 1 open, 2 done
-  std::vector<std::pair<Block *, unsigned>> Stack;
-  std::vector<Block *> Post;
-  Block *Entry = F.getEntry();
-  Stack.push_back({Entry, 0});
-  State[Entry] = 1;
-  while (!Stack.empty()) {
-    Block *B = Stack.back().first;
-    unsigned NextSucc = Stack.back().second;
-    auto Succs = B->succs();
-    if (NextSucc < Succs.size()) {
-      ++Stack.back().second;
-      Block *S = Succs[NextSucc];
-      if (State[S] == 0) {
-        State[S] = 1;
-        Stack.push_back({S, 0});
-      }
-      continue;
-    }
-    State[B] = 2;
-    Post.push_back(B);
-    Stack.pop_back();
-  }
-  return std::vector<Block *>(Post.rbegin(), Post.rend());
-}
-
 DominatorTree::DominatorTree(Function &F) : F(F) {
   ++domtree_builds;
   RPO = computeRPO(F);
+  Info.resize(F.getMaxBlockId());
+  auto node = [this](Block *B) -> NodeInfo & { return Info[B->getId()]; };
   for (unsigned I = 0; I != RPO.size(); ++I)
-    Info[RPO[I]].RPOIndex = I;
+    node(RPO[I]).RPOIndex = I;
 
   // Cooper-Harvey-Kennedy: iterate to a fixed point over RPO.
   Block *Entry = F.getEntry();
-  Info[Entry].Idom = Entry;
+  node(Entry).Idom = Entry;
   bool Changed = true;
   auto intersect = [&](Block *A, Block *B) {
     while (A != B) {
-      while (Info[A].RPOIndex > Info[B].RPOIndex)
-        A = Info[A].Idom;
-      while (Info[B].RPOIndex > Info[A].RPOIndex)
-        B = Info[B].Idom;
+      while (node(A).RPOIndex > node(B).RPOIndex)
+        A = node(A).Idom;
+      while (node(B).RPOIndex > node(A).RPOIndex)
+        B = node(B).Idom;
     }
     return A;
   };
@@ -67,13 +42,13 @@ DominatorTree::DominatorTree(Function &F) : F(F) {
         continue;
       Block *NewIdom = nullptr;
       for (Block *P : B->preds()) {
-        if (!Info.count(P) || !Info[P].Idom)
+        if (!node(P).Idom)
           continue; // unreachable or not yet processed
         NewIdom = NewIdom ? intersect(NewIdom, P) : P;
       }
       assert(NewIdom && "reachable block with no processed predecessor");
-      if (Info[B].Idom != NewIdom) {
-        Info[B].Idom = NewIdom;
+      if (node(B).Idom != NewIdom) {
+        node(B).Idom = NewIdom;
         Changed = true;
       }
     }
@@ -83,26 +58,27 @@ DominatorTree::DominatorTree(Function &F) : F(F) {
   for (Block *B : RPO) {
     if (B == Entry)
       continue;
-    Info[Info[B].Idom].Children.push_back(B);
+    node(node(B).Idom).Children.push_back(B);
   }
   unsigned Clock = 0;
   std::vector<std::pair<Block *, unsigned>> Stack;
   Stack.push_back({Entry, 0});
-  Info[Entry].DFSIn = Clock++;
+  node(Entry).DFSIn = Clock++;
+  PreOrder.reserve(RPO.size());
   PreOrder.push_back(Entry);
   while (!Stack.empty()) {
     Block *B = Stack.back().first;
     unsigned NextChild = Stack.back().second;
-    auto &Children = Info[B].Children;
+    auto &Children = node(B).Children;
     if (NextChild < Children.size()) {
       ++Stack.back().second;
       Block *C = Children[NextChild];
-      Info[C].DFSIn = Clock++;
+      node(C).DFSIn = Clock++;
       PreOrder.push_back(C);
       Stack.push_back({C, 0});
       continue;
     }
-    Info[B].DFSOut = Clock++;
+    node(B).DFSOut = Clock++;
     Stack.pop_back();
   }
 
@@ -111,15 +87,15 @@ DominatorTree::DominatorTree(Function &F) : F(F) {
     if (B->getNumPreds() < 2)
       continue;
     for (Block *P : B->preds()) {
-      if (!Info.count(P))
+      if (!node(P).Idom)
         continue;
       Block *Runner = P;
-      while (Runner != Info[B].Idom) {
-        auto &RunnerFrontier = Info[Runner].Frontier;
+      while (Runner != node(B).Idom) {
+        auto &RunnerFrontier = node(Runner).Frontier;
         if (std::find(RunnerFrontier.begin(), RunnerFrontier.end(), B) ==
             RunnerFrontier.end())
           RunnerFrontier.push_back(B);
-        Runner = Info[Runner].Idom;
+        Runner = node(Runner).Idom;
       }
     }
   }
@@ -169,13 +145,14 @@ const std::vector<Block *> &DominatorTree::frontier(Block *B) const {
 std::vector<Block *>
 DominatorTree::iteratedFrontier(const std::vector<Block *> &Defs) const {
   std::vector<Block *> Result;
-  std::unordered_set<Block *> InResult;
+  std::vector<uint8_t> InResult(Info.size(), 0);
   std::vector<Block *> Worklist(Defs.begin(), Defs.end());
   while (!Worklist.empty()) {
     Block *B = Worklist.back();
     Worklist.pop_back();
     for (Block *FB : frontier(B)) {
-      if (InResult.insert(FB).second) {
+      if (!InResult[FB->getId()]) {
+        InResult[FB->getId()] = 1;
         Result.push_back(FB);
         Worklist.push_back(FB);
       }

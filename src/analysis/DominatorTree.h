@@ -11,6 +11,11 @@
 /// depth-first dominator-tree traversal order (the backbone of the DBDS
 /// simulation tier, paper §4.1).
 ///
+/// Per-block facts live in a vector indexed by Block::getId(), sized by
+/// Function::getMaxBlockId() when the tree is built. Block ids are never
+/// reused, so an entry describes at most one block; blocks erased since
+/// leave holes, and blocks created since fall past the end (unreachable).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DBDS_ANALYSIS_DOMINATORTREE_H
@@ -19,8 +24,6 @@
 #include "ir/Block.h"
 #include "ir/Function.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dbds {
@@ -65,11 +68,14 @@ public:
   iteratedFrontier(const std::vector<Block *> &Defs) const;
 
   /// True if \p B was reachable when the tree was built.
-  bool isReachable(Block *B) const { return Info.count(B) != 0; }
+  bool isReachable(Block *B) const {
+    assert(B->getFunction() == &F && "block of another function");
+    return B->getId() < Info.size() && Info[B->getId()].Idom;
+  }
 
 private:
   struct NodeInfo {
-    Block *Idom = nullptr;
+    Block *Idom = nullptr; ///< Null iff unreachable; the entry's is itself.
     unsigned RPOIndex = 0;
     unsigned DFSIn = 0, DFSOut = 0;
     std::vector<Block *> Children;
@@ -77,21 +83,16 @@ private:
   };
 
   const NodeInfo &info(Block *B) const {
-    auto It = Info.find(B);
-    assert(It != Info.end() && "block unknown to the dominator tree "
-                               "(unreachable or CFG changed)");
-    return It->second;
+    assert(isReachable(B) && "block unknown to the dominator tree "
+                             "(unreachable or CFG changed)");
+    return Info[B->getId()];
   }
 
   Function &F;
   std::vector<Block *> RPO;
   std::vector<Block *> PreOrder;
-  std::unordered_map<Block *, NodeInfo> Info;
+  std::vector<NodeInfo> Info; ///< Indexed by Block::getId().
 };
-
-/// Computes reverse post order from \p F's entry. Unreachable blocks are
-/// omitted.
-std::vector<Block *> computeRPO(Function &F);
 
 } // namespace dbds
 

@@ -9,6 +9,13 @@
 /// header (that would be loop peeling, which the paper defers to future
 /// work), and the static frequency estimator weights loop bodies.
 ///
+/// A block is a loop header iff it is the target of a back edge; the static
+/// isHeader answers that from the dominator tree alone, and isLoopHeader
+/// asks it of the tree the LoopInfo was built over, which must outlive it.
+/// Nesting depths live in a vector indexed by Block::getId(), sized by
+/// Function::getMaxBlockId(); blocks created after the analysis ran read as
+/// depth 0 and, being unreachable in the tree, not a header.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DBDS_ANALYSIS_LOOPS_H
@@ -16,23 +23,21 @@
 
 #include "analysis/DominatorTree.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace dbds {
 
-/// Loop structure of one function (header set + per-block nesting depth).
+/// Loop structure of one function (header test + per-block nesting depth).
 class LoopInfo {
 public:
   LoopInfo(Function &F, const DominatorTree &DT);
 
   /// True if \p B is the header of a natural loop.
-  bool isLoopHeader(Block *B) const { return Headers.count(B) != 0; }
+  bool isLoopHeader(Block *B) const { return isHeader(B, DT); }
 
   /// Number of loops containing \p B (0 outside any loop).
   unsigned loopDepth(Block *B) const {
-    auto It = Depth.find(B);
-    return It == Depth.end() ? 0 : It->second;
+    return B->getId() < Depth.size() ? Depth[B->getId()] : 0;
   }
 
   /// True if edge \p From -> \p To is a back edge (target dominates source).
@@ -41,9 +46,18 @@ public:
            DT.dominates(To, From);
   }
 
+  /// True if \p M is the target of a back edge, i.e. the header of a
+  /// natural loop; needs no loop bodies.
+  static bool isHeader(Block *M, const DominatorTree &DT) {
+    for (Block *P : M->preds())
+      if (isBackEdge(P, M, DT))
+        return true;
+    return false;
+  }
+
 private:
-  std::unordered_set<Block *> Headers;
-  std::unordered_map<Block *, unsigned> Depth;
+  const DominatorTree &DT;
+  std::vector<unsigned> Depth; ///< Indexed by Block::getId().
 };
 
 } // namespace dbds

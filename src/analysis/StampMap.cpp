@@ -6,16 +6,27 @@
 
 #include "analysis/StampMap.h"
 
+#include "ir/Function.h"
+
 using namespace dbds;
 
 Stamp StampMap::get(Instruction *I) {
-  auto Hit = Memo.find(I);
-  if (Hit != Memo.end())
-    return Hit->second;
-  if (Pending.count(I))
+  assert((!Owner || Owner == I->getFunction()) &&
+         "instruction of another function");
+  // The recursive queries below may grow the vectors, so index afresh
+  // after each one rather than holding references.
+  const unsigned Id = I->getId();
+  if (Id >= States.size()) {
+    Owner = I->getFunction();
+    Memo.resize(Owner->getMaxInstId(), Stamp::top(Type::Int));
+    States.resize(Owner->getMaxInstId(), State::Unknown);
+  }
+  if (States[Id] == State::Done)
+    return Memo[Id];
+  if (States[Id] == State::InProgress)
     return Stamp::top(I->getType()); // break phi cycles conservatively
 
-  Pending.emplace(I, State::InProgress);
+  States[Id] = State::InProgress;
   Stamp Result = Stamp::top(I->getType());
   switch (I->getOpcode()) {
   case Opcode::Constant:
@@ -60,7 +71,7 @@ Stamp StampMap::get(Instruction *I) {
   default:
     break;
   }
-  Pending.erase(I);
-  Memo.emplace(I, Result);
+  States[Id] = State::Done;
+  Memo[Id] = Result;
   return Result;
 }

@@ -9,6 +9,14 @@
 /// refinement — conditional elimination layers refinement on top). Phi
 /// cycles are broken by assuming top for in-progress values.
 ///
+/// The memo and the in-progress marks are vectors indexed by
+/// Instruction::getId(), grown to Function::getMaxInstId() whenever a query
+/// reaches an id past their end (the first query, a fold's replacement, a
+/// simulation scratch node). A map therefore serves one function. The pool
+/// never frees an instruction, so an id names one instruction until
+/// Function::restoreFrom rebuilds and renumbers the body; a map does not
+/// outlive that.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DBDS_ANALYSIS_STAMPMAP_H
@@ -16,7 +24,7 @@
 
 #include "analysis/Stamp.h"
 
-#include <unordered_map>
+#include <vector>
 
 namespace dbds {
 
@@ -24,13 +32,15 @@ namespace dbds {
 /// entries stay valid across use-rewriting transformations.
 class StampMap {
 public:
-  /// The best known stamp of \p I.
+  /// The best known stamp of \p I. Every query must name an instruction of
+  /// the same function.
   Stamp get(Instruction *I);
 
 private:
-  enum class State : uint8_t { InProgress };
-  std::unordered_map<Instruction *, Stamp> Memo;
-  std::unordered_map<Instruction *, State> Pending;
+  enum class State : uint8_t { Unknown, InProgress, Done };
+  const Function *Owner = nullptr; ///< Set by the first query.
+  std::vector<Stamp> Memo;    ///< Valid where States says Done.
+  std::vector<State> States;
 };
 
 } // namespace dbds

@@ -74,10 +74,9 @@ std::string checkAfterMutation(Function &F, const char *When,
 }
 
 /// The optimize tier's dominance facts for the current CFG state: one
-/// dominator tree, shared by every candidate revalidated against it, and a
-/// LoopInfo built from it on first use. A duplication adopts the tree the
-/// duplicator built for its SSA repair, so the tree is rebuilt exactly once
-/// per CFG edit.
+/// dominator tree, shared by every candidate revalidated against it. A
+/// duplication adopts the tree the duplicator built for its SSA repair, so
+/// the tree is rebuilt exactly once per CFG edit.
 class CFGState {
 public:
   explicit CFGState(Function &F) : F(F) {}
@@ -92,20 +91,16 @@ public:
       DT.emplace(F);
     if (!DT->isReachable(M) || !DT->isReachable(P))
       return false;
-    if (!LI)
-      LI.emplace(F, *DT);
-    return !LI->isLoopHeader(M);
+    return !LoopInfo::isHeader(M, *DT);
   }
 
   void duplicate(Block *M, Block *P) {
-    LI.reset();
     duplicateIntoPredecessor(F, M, P, &DT);
   }
 
 private:
   Function &F;
   std::optional<DominatorTree> DT;
-  std::optional<LoopInfo> LI;
 };
 
 } // namespace
@@ -422,10 +417,7 @@ dbds::runBacktrackingDuplication(std::unique_ptr<Function> &F,
         continue;
       {
         DominatorTree DT(*F);
-        if (!DT.isReachable(M))
-          continue;
-        LoopInfo LI(*F, DT);
-        if (LI.isLoopHeader(M))
+        if (!DT.isReachable(M) || LoopInfo::isHeader(M, DT))
           continue;
       }
 

@@ -68,8 +68,7 @@ SplittingResult dbds::runFrequencySplitting(Function &F,
         continue;
       {
         DominatorTree DT(F);
-        LoopInfo LI(F, DT);
-        if (!DT.isReachable(M) || LI.isLoopHeader(M))
+        if (!DT.isReachable(M) || LoopInfo::isHeader(M, DT))
           continue;
       }
       duplicateIntoPredecessor(F, M, Pred);

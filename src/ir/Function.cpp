@@ -91,36 +91,30 @@ unsigned Function::instructionCount() const {
   return Count;
 }
 
-namespace {
-
-/// Reverse post-order over the CFG from the entry block. Dominators appear
-/// before the blocks they dominate, so cloning in RPO sees every non-phi
-/// operand before its uses.
-void buildRPO(Block *Entry, std::vector<Block *> &Out) {
-  std::unordered_map<Block *, unsigned> State; // 0 = new, 1 = open, 2 = done
+std::vector<Block *> dbds::computeRPO(const Function &F) {
+  std::vector<uint8_t> Seen(F.getMaxBlockId(), 0);
   std::vector<std::pair<Block *, unsigned>> Stack;
-  Stack.push_back({Entry, 0});
-  State[Entry] = 1;
   std::vector<Block *> Post;
+  Post.reserve(F.getNumBlocks());
+  Block *Entry = F.getEntry();
+  Stack.push_back({Entry, 0});
+  Seen[Entry->getId()] = 1;
   while (!Stack.empty()) {
     auto &[B, NextSucc] = Stack.back();
     auto Succs = B->succs();
     if (NextSucc < Succs.size()) {
       Block *S = Succs[NextSucc++];
-      if (State[S] == 0) {
-        State[S] = 1;
+      if (!Seen[S->getId()]) {
+        Seen[S->getId()] = 1;
         Stack.push_back({S, 0});
       }
       continue;
     }
-    State[B] = 2;
     Post.push_back(B);
     Stack.pop_back();
   }
-  Out.assign(Post.rbegin(), Post.rend());
+  return std::vector<Block *>(Post.rbegin(), Post.rend());
 }
-
-} // namespace
 
 std::unique_ptr<Function> Function::clone() const {
   SmallVector<Type, 4> Params;
@@ -156,8 +150,9 @@ void Function::cloneBodyInto(Function &Dest) const {
   for (const auto &B : Blocks)
     BlockMap[B.get()] = NewF->createBlock();
 
-  std::vector<Block *> RPO;
-  buildRPO(const_cast<Function *>(this)->getEntry(), RPO);
+  // Clone in reverse post order so every non-phi operand is cloned before
+  // its uses.
+  std::vector<Block *> RPO = computeRPO(*this);
 
   // Pass 2: clone instructions in RPO; phis first as empty shells so that
   // back-edge inputs can be filled in pass 3.

@@ -79,6 +79,10 @@ public:
   /// Finds a block by id; returns null if it was removed.
   Block *getBlockById(unsigned Id) const;
 
+  /// Upper bound on block ids (for dense side tables). Ids are never
+  /// reused, so erased blocks leave holes below the bound.
+  unsigned getMaxBlockId() const { return NextBlockId; }
+
   /// Removes \p B from the function (must be unreachable / disconnected;
   /// instructions inside are detached). Storage stays in the pool.
   void eraseBlock(Block *B);
@@ -146,6 +150,11 @@ private:
 
   friend class Instruction;
 };
+
+/// Reverse post order over \p F's CFG from the entry block, visiting
+/// successors in order. Unreachable blocks are omitted. Dominators appear
+/// before the blocks they dominate.
+std::vector<Block *> computeRPO(const Function &F);
 
 /// A module: a class table plus a set of functions. This is the whole
 /// "program" a workload consists of.

@@ -13,18 +13,20 @@
 
 #include "opts/Phase.h"
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 using namespace dbds;
 
 bool DeadCodeElimination::run(Function &F) {
-  std::unordered_set<Instruction *> Live;
+  std::vector<uint8_t> Live(F.getMaxInstId(), 0); // by instruction id
   std::vector<Instruction *> Worklist;
 
   auto markLive = [&](Instruction *I) {
-    if (Live.insert(I).second)
+    if (!Live[I->getId()]) {
+      Live[I->getId()] = 1;
       Worklist.push_back(I);
+    }
   };
 
   for (Block *B : F.blocks())
@@ -46,7 +48,7 @@ bool DeadCodeElimination::run(Function &F) {
   for (Block *B : F.blocks()) {
     SmallVector<Instruction *, 16> Dead;
     for (Instruction *I : *B)
-      if (!Live.count(I))
+      if (!Live[I->getId()])
         Dead.push_back(I);
     // Remove uses-last: later instructions use earlier ones.
     for (auto It = Dead.end(); It != Dead.begin();) {

@@ -6,6 +6,8 @@
 
 #include "opts/ScopedStamps.h"
 
+#include "ir/Function.h"
+
 using namespace dbds;
 
 void ScopedStamps::refine(Instruction *I, const Stamp &S, UndoLog &Undo) {
@@ -13,14 +15,11 @@ void ScopedStamps::refine(Instruction *I, const Stamp &S, UndoLog &Undo) {
   auto Met = Current.meet(S);
   if (!Met || *Met == Current)
     return; // contradictory (dead branch) or nothing new
-  auto It = Overlay.find(I);
-  Undo.push_back({I, It == Overlay.end()
-                         ? std::nullopt
-                         : std::optional<Stamp>(It->second)});
-  if (It == Overlay.end())
-    Overlay.emplace(I, *Met);
-  else
-    It->second = *Met;
+  if (I->getId() >= Overlay.size())
+    Overlay.resize(I->getFunction()->getMaxInstId());
+  std::optional<Stamp> &Slot = Overlay[I->getId()];
+  Undo.push_back({I, Slot});
+  Slot = *Met;
 }
 
 void ScopedStamps::refineByCondition(Instruction *Cond, bool Holds,
@@ -39,10 +38,6 @@ void ScopedStamps::refineByCondition(Instruction *Cond, bool Holds,
 }
 
 void ScopedStamps::undo(const UndoLog &Undo) {
-  for (auto It = Undo.rbegin(); It != Undo.rend(); ++It) {
-    if (It->second)
-      Overlay.insert_or_assign(It->first, *It->second);
-    else
-      Overlay.erase(It->first);
-  }
+  for (auto It = Undo.rbegin(); It != Undo.rend(); ++It)
+    Overlay[It->first->getId()] = It->second;
 }

@@ -8,7 +8,8 @@
 /// A refinement overlay over a StampMap with undo support, used by both
 /// conditional elimination and the DBDS simulation tier while walking the
 /// dominator tree: entering a branch successor narrows the condition's
-/// operands; leaving the subtree restores the previous knowledge.
+/// operands; leaving the subtree restores the previous knowledge. The
+/// overlay is a vector indexed by Instruction::getId(), grown on refine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +19,6 @@
 #include "analysis/StampMap.h"
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace dbds {
@@ -33,9 +33,8 @@ public:
 
   /// The refined stamp of \p I (falls back to the base map).
   Stamp get(Instruction *I) {
-    auto It = Overlay.find(I);
-    if (It != Overlay.end())
-      return It->second;
+    if (I->getId() < Overlay.size() && Overlay[I->getId()])
+      return *Overlay[I->getId()];
     return Base.get(I);
   }
 
@@ -53,7 +52,7 @@ public:
 
 private:
   StampMap &Base;
-  std::unordered_map<Instruction *, Stamp> Overlay;
+  std::vector<std::optional<Stamp>> Overlay; ///< Indexed by instruction id.
 };
 
 } // namespace dbds

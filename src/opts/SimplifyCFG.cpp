@@ -15,7 +15,8 @@
 #include "analysis/DominatorTree.h"
 #include "opts/Phase.h"
 
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 using namespace dbds;
 
@@ -47,19 +48,21 @@ bool foldConstantBranches(Function &F) {
 
 /// Rewrite 2: disconnect and erase unreachable blocks.
 bool pruneUnreachable(Function &F) {
-  std::unordered_set<Block *> Reachable;
+  std::vector<uint8_t> Reachable(F.getMaxBlockId(), 0); // by block id
   std::vector<Block *> Worklist{F.getEntry()};
-  Reachable.insert(F.getEntry());
+  Reachable[F.getEntry()->getId()] = 1;
   while (!Worklist.empty()) {
     Block *B = Worklist.back();
     Worklist.pop_back();
     for (Block *S : B->succs())
-      if (Reachable.insert(S).second)
+      if (!Reachable[S->getId()]) {
+        Reachable[S->getId()] = 1;
         Worklist.push_back(S);
+      }
   }
   bool Changed = false;
   for (Block *B : F.blocks()) {
-    if (Reachable.count(B))
+    if (Reachable[B->getId()])
       continue;
     // Remove B's edges into reachable blocks (phi inputs included).
     for (Block *S : B->succs()) {

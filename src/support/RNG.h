@@ -69,8 +69,11 @@ public:
   /// Uniform value in [Lo, Hi] inclusive.
   int64_t nextRange(int64_t Lo, int64_t Hi) {
     assert(Lo <= Hi && "invalid range");
-    return Lo + static_cast<int64_t>(
-                    nextBelow(static_cast<uint64_t>(Hi - Lo) + 1));
+    // Unsigned arithmetic: the span of [INT64_MIN, INT64_MAX] overflows
+    // int64_t, and its size (2^64) overflows uint64_t.
+    uint64_t Span = static_cast<uint64_t>(Hi) - static_cast<uint64_t>(Lo);
+    uint64_t Offset = Span == UINT64_MAX ? next() : nextBelow(Span + 1);
+    return static_cast<int64_t>(static_cast<uint64_t>(Lo) + Offset);
   }
 
   /// Uniform double in [0, 1).

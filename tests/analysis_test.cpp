@@ -8,6 +8,7 @@
 #include "analysis/DominatorTree.h"
 #include "analysis/Loops.h"
 #include "ir/Parser.h"
+#include "opts/Phase.h"
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,85 @@ TEST(DominatorTreeTest, PhiUseCountsAtPredecessor) {
     EXPECT_TRUE(DT.dominatesUse(In, Phi));
 }
 
+TEST(DominatorTreeTest, BlockCreatedAfterBuildIsUnreachable) {
+  Parsed P = parse(Loop);
+  DominatorTree DT(*P.F);
+  LoopInfo LI(*P.F, DT);
+  // Its id lies past the tables sized when the tree was built.
+  Block *Late = P.F->createBlock();
+  Late->append(P.F->create<ReturnInst>(nullptr));
+  EXPECT_FALSE(DT.isReachable(Late));
+  EXPECT_FALSE(LI.isLoopHeader(Late));
+  EXPECT_EQ(LI.loopDepth(Late), 0u);
+  EXPECT_FALSE(LoopInfo::isHeader(Late, DT));
+}
+
+/// A loop whose body holds forwarding blocks (b2, b4, b5, b6) for
+/// SimplifyCFG to erase, which leaves holes in the block ids.
+const char *LoopWithForwarders = R"(
+func @f(int) {
+b0:
+  %n = param 0
+  %z = const 0
+  jump b1
+b1:
+  %i = phi int [%z, b0], [%inext, b7]
+  %ci = cmp lt %i, %n
+  if %ci, b2, b8 !0.9
+b2:
+  jump b3
+b3:
+  %cj = cmp gt %i, %z
+  if %cj, b4, b6 !0.5
+b4:
+  jump b5
+b5:
+  jump b7
+b6:
+  jump b7
+b7:
+  %one = const 1
+  %inext = add %i, %one
+  jump b1
+b8:
+  ret %i
+}
+)";
+
+TEST(DominatorTreeTest, SparseIdsMatchAFreshClone) {
+  Parsed P = parse(LoopWithForwarders);
+  SimplifyCFG().run(*P.F);
+  ASSERT_LT(P.F->getNumBlocks(), P.F->getMaxBlockId()) << "no block erased";
+  std::unique_ptr<Function> Clone = P.F->clone();
+  ASSERT_EQ(Clone->getMaxBlockId(), Clone->getNumBlocks()); // dense ids
+
+  DominatorTree Sparse(*P.F), Dense(*Clone);
+  std::vector<Block *> SB = P.F->blocks(), DB = Clone->blocks();
+  ASSERT_EQ(SB.size(), DB.size());
+  auto toClone = [&](Block *B) -> Block * {
+    if (!B)
+      return nullptr;
+    return DB[std::find(SB.begin(), SB.end(), B) - SB.begin()];
+  };
+  for (size_t I = 0; I != SB.size(); ++I) {
+    ASSERT_TRUE(Sparse.isReachable(SB[I]));
+    ASSERT_TRUE(Dense.isReachable(DB[I]));
+    EXPECT_EQ(toClone(Sparse.getIdom(SB[I])), Dense.getIdom(DB[I]))
+        << SB[I]->getName();
+    for (size_t J = 0; J != SB.size(); ++J)
+      EXPECT_EQ(Sparse.dominates(SB[I], SB[J]), Dense.dominates(DB[I], DB[J]))
+          << SB[I]->getName() << " / " << SB[J]->getName();
+  }
+  LoopInfo SparseLI(*P.F, Sparse), DenseLI(*Clone, Dense);
+  unsigned Headers = 0;
+  for (size_t I = 0; I != SB.size(); ++I) {
+    EXPECT_EQ(SparseLI.isLoopHeader(SB[I]), DenseLI.isLoopHeader(DB[I]));
+    EXPECT_EQ(SparseLI.loopDepth(SB[I]), DenseLI.loopDepth(DB[I]));
+    Headers += SparseLI.isLoopHeader(SB[I]);
+  }
+  EXPECT_EQ(Headers, 1u);
+}
+
 // ---- Loops --------------------------------------------------------------------
 
 TEST(LoopInfoTest, DetectsSingleLoop) {
@@ -228,6 +308,9 @@ TEST(LoopInfoTest, DetectsSingleLoop) {
   EXPECT_EQ(LI.loopDepth(P.F->getEntry()), 0u);
   EXPECT_TRUE(LoopInfo::isBackEdge(B2, B1, DT));
   EXPECT_FALSE(LoopInfo::isBackEdge(B1, B2, DT));
+  EXPECT_TRUE(LoopInfo::isHeader(B1, DT));
+  EXPECT_FALSE(LoopInfo::isHeader(B2, DT));
+  EXPECT_FALSE(LoopInfo::isHeader(B3, DT));
 }
 
 TEST(LoopInfoTest, NestedLoopDepths) {

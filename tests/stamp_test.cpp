@@ -15,6 +15,9 @@
 
 #include "ir/Semantics.h"
 #include "analysis/Stamp.h"
+#include "analysis/StampMap.h"
+#include "ir/Function.h"
+#include "ir/Parser.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +54,45 @@ TEST(StampTest, ObjectNullness) {
   EXPECT_TRUE(M->isNonNull());
   EXPECT_TRUE(
       Stamp::definitelyNull().join(Stamp::nonNull()) == Stamp::maybeNull());
+}
+
+TEST(StampMapTest, InstructionsCreatedAfterFirstQuery) {
+  ParseResult R = parseModule(R"(
+func @f(int) {
+b0:
+  %a = param 0
+  %three = const 3
+  %four = const 4
+  %seven = add %three, %four
+  ret %seven
+}
+)");
+  ASSERT_TRUE(R) << R.Error;
+  Function &F = *R.Mod->functions()[0];
+  Instruction *Seven = F.getEntry()->getTerminator()->getOperand(0);
+  Instruction *Four = Seven->getOperand(1);
+
+  StampMap SM;
+  EXPECT_EQ(*SM.get(Seven).asConstant(), 7);
+  // Grow the function well past the ids the first query sized for: a chain
+  // of adds, each one's stamp derived from the previous (memoized) one.
+  Instruction *Prev = Seven;
+  for (int64_t K = 1; K <= 200; ++K) {
+    Prev = F.create<BinaryInst>(Opcode::Add, Prev, Four);
+    ASSERT_TRUE(SM.get(Prev).asConstant());
+    EXPECT_EQ(*SM.get(Prev).asConstant(), 7 + 4 * K);
+  }
+  Instruction *Hundred = F.constant(100);
+  EXPECT_EQ(*SM.get(Hundred).asConstant(), 100);
+  Instruction *Late = F.create<BinaryInst>(Opcode::Mul, Hundred, Prev);
+  EXPECT_EQ(*SM.get(Late).asConstant(), 100 * (7 + 4 * 200));
+  // Entries memoized before the growth are unchanged.
+  EXPECT_EQ(*SM.get(Seven).asConstant(), 7);
+  for (Instruction *I : *F.getEntry()) {
+    if (isa<ParamInst>(I)) {
+      EXPECT_TRUE(SM.get(I) == Stamp::top(Type::Int));
+    }
+  }
 }
 
 TEST(StampTest, ExactConstants) {
