@@ -25,7 +25,6 @@
 #include "telemetry/Report.h"
 #include "telemetry/Trace.h"
 #include "tooling/DriverOptions.h"
-#include "workloads/CompileCache.h"
 #include "workloads/Runner.h"
 
 #include <cstdio>
@@ -63,8 +62,7 @@ inline DriverOptionsParser makeFigureParser(DriverOptions &D) {
   return DriverOptionsParser(
       D, {DriverFlag::Trace, DriverFlag::Remarks, DriverFlag::Counters,
           DriverFlag::JsonOut, DriverFlag::Jobs, DriverFlag::Metrics,
-          DriverFlag::Flamegraph, DriverFlag::SimAudit,
-          DriverFlag::CompileCache, DriverFlag::CacheDir});
+          DriverFlag::Flamegraph, DriverFlag::SimAudit});
 }
 
 inline FigureOptions parseFigureOptions(int argc, char **argv,
@@ -114,13 +112,6 @@ inline int runFigureMain(int argc, char **argv, const char *FigureName,
   if (!O.RemarksPath.empty())
     Opts.Decisions = &Decisions;
   Opts.CollectCounters = O.DumpCounters || !O.JsonOutPath.empty();
-  std::optional<CompileCache> Cache;
-  if (O.UseCompileCache) {
-    Cache.emplace(O.CacheDir);
-    Opts.Cache = &*Cache;
-  }
-  if (reportInvalidRunnerOptions(Opts, argv[0]))
-    return 2;
 
   printf("# %s — configurations: baseline (DBDS off), DBDS, dupalot "
          "(no trade-off)\n",

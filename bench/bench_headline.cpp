@@ -29,13 +29,11 @@
 #include "telemetry/Metrics.h"
 #include "telemetry/Report.h"
 #include "tooling/DriverOptions.h"
-#include "workloads/CompileCache.h"
 #include "workloads/Runner.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 
 using namespace dbds;
 
@@ -44,8 +42,7 @@ int main(int argc, char **argv) {
   D.JsonOutDefault = "BENCH_headline.json";
   DriverOptionsParser P(
       D, {DriverFlag::Jobs, DriverFlag::Metrics, DriverFlag::JsonOut,
-          DriverFlag::SimAudit, DriverFlag::CompileCache,
-          DriverFlag::CacheDir});
+          DriverFlag::SimAudit});
   std::string ComparePath;
   BenchCompareOptions CompareOpts;
   auto usage = [&](FILE *To) {
@@ -85,15 +82,6 @@ int main(int argc, char **argv) {
   const bool Metrics = D.Metrics;
   const std::string JsonOutPath = D.JsonOutPath;
   RunnerOptions Opts = D.toRunnerOptions();
-  // One cache for all four suites: identical functions recur across suite
-  // seeds, which is exactly the cross-benchmark reuse the cache exists for.
-  std::optional<CompileCache> Cache;
-  if (D.UseCompileCache) {
-    Cache.emplace(D.CacheDir);
-    Opts.Cache = &*Cache;
-  }
-  if (reportInvalidRunnerOptions(Opts, argv[0]))
-    return 2;
   // Both --json-out and --compare need the combined report rows; --compare
   // works standalone (render in memory, diff, never write).
   const bool NeedReport = !JsonOutPath.empty() || !ComparePath.empty();

@@ -106,7 +106,7 @@ std::string dbds::printInstruction(const Instruction *I) {
     // print index rather than predecessor-list position: the parser
     // rebuilds predecessor lists in CFG-construction order, so only a
     // text-derivable pair order makes print -> parse -> print a fixed
-    // point (which content-addressed caching depends on).
+    // point (property P6 in tests/property_test.cpp).
     std::vector<unsigned> Order(E);
     for (unsigned Idx = 0; Idx != E; ++Idx)
       Order[Idx] = Idx;

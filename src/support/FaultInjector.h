@@ -60,7 +60,6 @@ public:
   uint64_t entropy() { return Gen.next(); }
 
   uint64_t seed() const { return Seed; }
-  double rate() const { return Rate; }
   unsigned sitesVisited() const { return Sites; }
   unsigned faultsInjected() const { return Injected; }
 
@@ -80,13 +79,6 @@ public:
   void absorbCounts(const FaultInjector &Task) {
     Sites += Task.Sites;
     Injected += Task.Injected;
-  }
-
-  /// Raw-count overload: a cache hit replays the memoized compile's site
-  /// count without a live task injector to absorb from.
-  void absorbCounts(unsigned TaskSites, unsigned TaskInjected) {
-    Sites += TaskSites;
-    Injected += TaskInjected;
   }
 
 private:

@@ -9,11 +9,12 @@
 /// and 128 bits, plus a composable field hasher that feeds every scalar
 /// through an explicit little-endian byte encoding. Deliberately not
 /// std::hash — that is implementation-defined, may be randomized, and
-/// therefore useless for anything persisted (the on-disk compile cache) or
-/// compared across builds. A given field sequence hashes to the same value
-/// on every platform, every run, forever; the 128-bit digest keys the
-/// compile cache, where a collision would silently replay the wrong
-/// compile.
+/// therefore useless for digests that are committed to the repository and
+/// compared across builds and machines. A given field sequence hashes to
+/// the same value on every platform, every run, forever. It is kept for
+/// the behaviour wall planned in ROADMAP item 11: one digest per section
+/// of a compile's output (optimized IR, decisions, audit verdicts,
+/// counters), committed and compared against each build's own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +43,7 @@ struct Hash128 {
     return A.Hi != B.Hi ? A.Hi < B.Hi : A.Lo < B.Lo;
   }
 
-  /// 32 lowercase hex digits, fixed width (cache file names, key lines).
+  /// 32 lowercase hex digits, fixed width.
   std::string hex() const {
     static const char Digits[] = "0123456789abcdef";
     std::string Out(32, '0');

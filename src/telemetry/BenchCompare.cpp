@@ -99,19 +99,9 @@ void compareConfigs(BenchCompareResult &R, const BenchCompareOptions &Opts,
     gateScalar(R, Opts, Where, "code_size", OldC->getNumber("code_size"),
                NewC->getNumber("code_size"), /*Gating=*/true);
 
-    // Compile-cache effectiveness: gated only when both runs carried the
-    // cache counters. Misses are lower-is-better and ride the standard
-    // gate; hits are higher-is-better, so the ratio is fed inverted — a
-    // hit count that *dropped* past the threshold is the regression.
     const JsonValue *OldCtr = OldC->get("counters");
     const JsonValue *NewCtr = NewC->get("counters");
     if (OldCtr && NewCtr && OldCtr->isObject() && NewCtr->isObject()) {
-      if (OldCtr->get("cache.miss") && NewCtr->get("cache.miss"))
-        gateScalar(R, Opts, Where, "counters/cache.miss",
-                   OldCtr->getNumber("cache.miss"),
-                   NewCtr->getNumber("cache.miss"), /*Gating=*/true);
-      gateShrinkage(R, Opts, Where, "counters/cache.hit",
-                    OldCtr->get("cache.hit"), NewCtr->get("cache.hit"));
       // Partial-escape effectiveness: every pea.* counter is optimizer
       // work done (loads forwarded, allocations virtualized or sunk), so
       // the whole family gates on shrinkage — a PR that silently stops

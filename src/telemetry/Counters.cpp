@@ -110,14 +110,6 @@ std::vector<CounterSample> CounterRegistry::snapshot(bool SkipZero) const {
   return Out;
 }
 
-TelemetryCounter *CounterRegistry::find(const std::string &Qualified) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (TelemetryCounter *C : Counters)
-    if (C->qualifiedName() == Qualified)
-      return C;
-  return nullptr;
-}
-
 void CounterRegistry::resetAll() {
   std::lock_guard<std::mutex> Lock(Mu);
   for (TelemetryCounter *C : Counters)

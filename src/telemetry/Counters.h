@@ -104,11 +104,6 @@ public:
   /// drops counters that never fired (the common dump mode).
   std::vector<CounterSample> snapshot(bool SkipZero = false) const;
 
-  /// The registered counter named \p Qualified ("component.name"), or null
-  /// — the compile cache resolves stored counter samples back to live
-  /// counters with this.
-  TelemetryCounter *find(const std::string &Qualified) const;
-
   /// Zeroes every counter (tests and per-run measurement baselines).
   void resetAll();
 

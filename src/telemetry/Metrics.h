@@ -83,20 +83,6 @@ public:
   /// Per-bucket sum; commutes, so merge order cannot change the result.
   void merge(const Histogram &O);
 
-  /// Reconstructs a histogram from externally stored state (the compile
-  /// cache's deserialization path). \p Min is ignored when \p Count is 0.
-  static Histogram fromState(const std::array<uint64_t, NumBuckets> &Buckets,
-                             uint64_t Count, uint64_t Sum, uint64_t Min,
-                             uint64_t Max) {
-    Histogram H;
-    H.Buckets = Buckets;
-    H.Count_ = Count;
-    H.Sum_ = Sum;
-    H.Min_ = Count ? Min : UINT64_MAX;
-    H.Max_ = Max;
-    return H;
-  }
-
   uint64_t count() const { return Count_; }
   uint64_t sum() const { return Sum_; }
   /// Smallest/largest recorded value (0 when empty).

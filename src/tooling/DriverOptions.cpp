@@ -16,7 +16,7 @@ using namespace dbds;
 namespace {
 
 /// Whether a flag is bare (--metrics), takes a mandatory value
-/// (--jobs=N), or both spellings are legal (--compile-cache[=DIR]).
+/// (--jobs=N), or both spellings are legal (--json-out[=FILE]).
 enum class ArgKind { None, Required, Optional };
 
 struct FlagInfo {
@@ -46,10 +46,6 @@ constexpr FlagInfo FlagTable[] = {
      "write the machine-readable bench report (default name without =FILE)"},
     {DriverFlag::SimAudit, "--simaudit", ArgKind::None, nullptr,
      "audit simulator predictions against post-DBDS dataflow facts"},
-    {DriverFlag::CompileCache, "--compile-cache", ArgKind::Optional, "DIR",
-     "content-addressed compile cache; with =DIR entries persist on disk"},
-    {DriverFlag::CacheDir, "--cache-dir", ArgKind::Required, "DIR",
-     "like --compile-cache=DIR"},
     {DriverFlag::Seed, "--seed", ArgKind::Required, "N",
      "first generator seed"},
     {DriverFlag::Count, "--count", ArgKind::Required, "N",
@@ -73,7 +69,7 @@ const FlagInfo &infoFor(DriverFlag F) {
 }
 
 /// The flag's full spelling for usage/help: "--jobs=N",
-/// "--compile-cache[=DIR]", "--metrics".
+/// "--json-out[=FILE]", "--metrics".
 std::string spellingOf(const FlagInfo &Info) {
   std::string Out = Info.Name;
   if (Info.Kind == ArgKind::Required)
@@ -108,15 +104,6 @@ void applyFlag(DriverOptions &O, DriverFlag Flag, const char *Value) {
     break;
   case DriverFlag::SimAudit:
     O.SimAudit = true;
-    break;
-  case DriverFlag::CompileCache:
-    O.UseCompileCache = true;
-    if (Value)
-      O.CacheDir = Value;
-    break;
-  case DriverFlag::CacheDir:
-    O.UseCompileCache = true;
-    O.CacheDir = Value;
     break;
   case DriverFlag::Seed:
     O.Seed = strtoull(Value, nullptr, 10);
@@ -200,13 +187,4 @@ std::string DriverOptionsParser::helpText() const {
     Out += Buf;
   }
   return Out;
-}
-
-bool dbds::reportInvalidRunnerOptions(const RunnerOptions &Opts,
-                                      const char *Prog) {
-  std::vector<RunnerOptionDiagnostic> Diags = Opts.validate();
-  for (const RunnerOptionDiagnostic &D : Diags)
-    fprintf(stderr, "%s: %s: %s\n", Prog, D.Option.c_str(),
-            D.Message.c_str());
-  return !Diags.empty();
 }

@@ -25,7 +25,6 @@
 ///     case ParseStatus::Unrecognized: /* driver-specific flags, files */
 ///     }
 ///   RunnerOptions Opts = D.toRunnerOptions();
-///   if (reportInvalidRunnerOptions(Opts, argv[0])) return 2;
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +52,6 @@ enum class DriverFlag : unsigned {
   Flamegraph,      ///< --flamegraph=FILE
   JsonOut,         ///< --json-out[=FILE]
   SimAudit,        ///< --simaudit
-  CompileCache,    ///< --compile-cache[=DIR]
-  CacheDir,        ///< --cache-dir=DIR
   Seed,            ///< --seed=N
   Count,           ///< --count=N
   Functions,       ///< --functions=N
@@ -78,8 +75,6 @@ struct DriverOptions {
   /// conventional report name before parsing.
   std::string JsonOutDefault = "bench.json";
   bool SimAudit = false;       ///< Audit DBDS decisions post-hoc.
-  bool UseCompileCache = false; ///< Content-addressed compile cache.
-  std::string CacheDir;        ///< "" = in-memory cache only.
   uint64_t Seed = 1;           ///< First generator seed (corpus drivers).
   unsigned Count = 1;          ///< Generated seeds (corpus drivers).
   unsigned Functions = 4;      ///< Functions per generated program.
@@ -88,8 +83,7 @@ struct DriverOptions {
   bool FailFast = false;       ///< Abort on first failure.
 
   /// The RunnerOptions these flags describe. Callers wire up the pointer
-  /// members (Cache, Injector, Decisions, ...) afterwards, then gate on
-  /// RunnerOptions::validate() — preferably via reportInvalidRunnerOptions.
+  /// members (Injector, Decisions, ...) afterwards.
   RunnerOptions toRunnerOptions() const;
 };
 
@@ -129,11 +123,6 @@ private:
   std::vector<DriverFlag> Enabled;
   std::string Err;
 };
-
-/// Prints every RunnerOptions::validate() diagnostic of \p Opts to stderr
-/// as "prog: --flag: message". Returns true when any were printed (i.e.
-/// the driver should exit with a usage error).
-bool reportInvalidRunnerOptions(const RunnerOptions &Opts, const char *Prog);
 
 } // namespace dbds
 

@@ -18,9 +18,7 @@
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 #include "vm/Interpreter.h"
-#include "workloads/CompileCache.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -40,7 +38,6 @@ DBDS_HISTOGRAM(compile_service, ir_growth_pct, Percent, Deterministic);
 DBDS_HISTOGRAM(compile_service, ir_bytes, Bytes, Deterministic);
 DBDS_HISTOGRAM(compile_service, compile_ns, Nanoseconds, Timing);
 DBDS_HISTOGRAM(compile_service, peak_rss_bytes, Bytes, Timing);
-DBDS_HISTOGRAM(compile_service, cache_probe_ns, Nanoseconds, Timing);
 
 uint64_t dbds::resultHashCombine(uint64_t Hash, uint64_t Value) {
   Hash ^= Value + 0x9e3779b97f4a7c15ULL + (Hash << 6) + (Hash >> 2);
@@ -92,15 +89,6 @@ struct TaskState {
   /// never touch the shared registries at all (DESIGN.md §9/§12).
   std::vector<std::pair<TelemetryCounter *, uint64_t>> CounterBatch;
   MetricsShard::Buffer MetricsBatch;
-  /// Compile-cache outcome: CacheHit marks a replayed task (whose memoized
-  /// fault-site count is ReplayedFaultSites); HasStore marks a clean cold
-  /// compile whose memoized entry (Store/StoreKey) the serial join inserts
-  /// — tasks never mutate the cache while the batch runs.
-  bool CacheHit = false;
-  unsigned ReplayedFaultSites = 0;
-  bool HasStore = false;
-  CompileCacheKey StoreKey;
-  CompileCacheEntry Store;
 };
 
 void bufferDiagnostic(FunctionCompileOutcome &Out, TaskState &T,
@@ -153,70 +141,6 @@ CompileBatch dbds::compileFunctionsParallel(CompileService &Service,
     TraceSession *TS = TraceSession::active();
     const bool Metered = MetricsRegistry::enabled();
 
-    // Compile cache: key the task by the canonical pristine-IR printing
-    // (F is pre-profile here), the run inputs, and a fingerprint of every
-    // outcome-affecting knob. A replayable hit short-circuits the whole
-    // task; any failure along the way falls through to the cold path.
-    CompileCacheKey CacheKey{};
-    const bool UseCache = Opts.Cache != nullptr;
-    if (UseCache) {
-      CompileCacheFingerprint FP;
-      FP.Tool = "runner";
-      FP.Config = static_cast<unsigned>(Config);
-      FP.Verify = Opts.Verify;
-      FP.FailFast = Opts.FailFast;
-      FP.CompileBudgetMs = Opts.CompileBudgetMs;
-      FP.SimAudit = Opts.SimAudit;
-      FP.WantDiags = WantDiags;
-      FP.WantDecisions = Opts.Decisions != nullptr || Opts.SimAudit;
-      FP.MetricsEnabled = Metered;
-      if (Injector) {
-        FP.HasInjector = true;
-        FP.InjectorBaseSeed = Opts.Injector->seed();
-        FP.InjectorRate = Opts.Injector->rate();
-        FP.TaskFaultSeed = T.Injector.seed();
-      }
-      CacheKey = computeCompileCacheKey(printCacheableUnit(W.Mod.get(), &F),
-                                        W.TrainInputs[FIdx],
-                                        W.EvalInputs[FIdx], FP);
-
-      Timer ProbeTimer;
-      std::shared_ptr<const CompileCacheEntry> Entry;
-      {
-        TimerScope PScope(ProbeTimer);
-        Entry = Opts.Cache->probe(CacheKey);
-      }
-      if (Metered)
-        cache_probe_ns.record(ProbeTimer.totalNs());
-      PreparedReplay Replay;
-      if (Entry && prepareReplay(*Entry, Replay)) {
-        // Hit: replay the memoized compile. Counter deltas route through
-        // this task's shard and the histogram states ride the metrics
-        // batch, so the join publishes them exactly like a cold task's.
-        CompileCache::countHit();
-        F.restoreFrom(*Replay.Fn);
-        Out.CompileTimeMs = ProbeTimer.totalMs();
-        Out.CodeSize = Entry->CodeSize;
-        Out.Duplications = Entry->Duplications;
-        Out.Degradation = Entry->Degradation;
-        Out.DynamicCycles = Entry->DynamicCycles;
-        Out.ResultHash = Entry->ResultHash;
-        Out.Audit = Entry->Audit;
-        for (const DuplicationDecision &D : Entry->Decisions)
-          T.Decisions.append(D);
-        for (const auto &[Counter, Value] : Replay.Counters)
-          Counter->bump(Value);
-        if (T.HasInjector)
-          T.ReplayedFaultSites = Entry->FaultSites;
-        T.CacheHit = true;
-        T.MetricsBatch = MShard.take();
-        for (const auto &P : Replay.Histograms)
-          T.MetricsBatch.push_back(P);
-        T.CounterBatch = Shard.take();
-        return;
-      }
-      CompileCache::countMiss();
-    }
     ++functions_compiled;
 
     // Profile on training inputs (the JIT's interpreter tier). Each task
@@ -360,62 +284,6 @@ CompileBatch dbds::compileFunctionsParallel(CompileService &Service,
       peak_rss_bytes.record(currentPeakRssBytes());
     T.MetricsBatch = MShard.take();
     T.CounterBatch = Shard.take();
-
-    // Storage eligibility: only *clean* compiles are memoized — no
-    // rollbacks (a quarantined phase always counts one), run failures,
-    // budget expiry, diagnostics, log lines, or injected faults. Anything
-    // else is either timing-driven (must recompile) or carries
-    // benchmark-labelled text that would replay wrongly across benchmarks
-    // sharing IR.
-    if (UseCache && Out.Rollbacks == 0 && Out.RunFailures == 0 &&
-        Out.Degradation == DegradationLevel::None && Out.LogLines.empty() &&
-        T.Diags.empty() &&
-        (!T.HasInjector || T.Injector.faultsInjected() == 0)) {
-      T.HasStore = true;
-      T.StoreKey = CacheKey;
-      CompileCacheEntry &E = T.Store;
-      E.CodeSize = Out.CodeSize;
-      E.Duplications = Out.Duplications;
-      E.Degradation = Out.Degradation;
-      E.DynamicCycles = Out.DynamicCycles;
-      E.ResultHash = Out.ResultHash;
-      E.FaultSites = T.HasInjector ? T.Injector.sitesVisited() : 0;
-      E.Audit = Out.Audit;
-      E.Decisions = T.Decisions.decisions();
-      // Counter deltas by qualified name, sorted, minus the cache.*
-      // component (hit/miss accounting is the one warm-vs-cold counter
-      // divergence and must not replay).
-      for (const auto &[Counter, Value] : T.CounterBatch) {
-        std::string Name = Counter->qualifiedName();
-        if (Name.compare(0, 6, "cache.") == 0)
-          continue;
-        E.Counters.push_back({std::move(Name), Value});
-      }
-      std::sort(E.Counters.begin(), E.Counters.end(),
-                [](const CounterSample &X, const CounterSample &Y) {
-                  return X.Name < Y.Name;
-                });
-      // Deterministic-class histogram records only; Timing-class values
-      // are wall-clock and never replayed.
-      for (const auto &[Hist, H] : T.MetricsBatch) {
-        if (Hist->metricClass() != MetricClass::Deterministic)
-          continue;
-        CompileCacheEntry::HistogramState HS;
-        HS.Component = Hist->component();
-        HS.Name = Hist->name();
-        HS.Unit = Hist->unit();
-        HS.Class = Hist->metricClass();
-        HS.H = H;
-        E.Histograms.push_back(std::move(HS));
-      }
-      std::sort(E.Histograms.begin(), E.Histograms.end(),
-                [](const CompileCacheEntry::HistogramState &X,
-                   const CompileCacheEntry::HistogramState &Y) {
-                  return std::make_pair(X.Component, X.Name) <
-                         std::make_pair(Y.Component, Y.Name);
-                });
-      E.OptimizedIR = printCacheableUnit(W.Mod.get(), &F);
-    }
   });
 
   // Deterministic join: fold every order-sensitive stream back into the
@@ -434,19 +302,8 @@ CompileBatch dbds::compileFunctionsParallel(CompileService &Service,
       Opts.Decisions->merge(std::move(T.Decisions));
     if (Opts.Diags)
       Opts.Diags->mergeFrom(T.Diags);
-    if (Opts.Injector && T.HasInjector) {
-      // A replayed task never ran its derived injector; fold in the
-      // memoized site count instead so summary lines match cold runs.
-      if (T.CacheHit)
-        Opts.Injector->absorbCounts(T.ReplayedFaultSites, 0);
-      else
-        Opts.Injector->absorbCounts(T.Injector);
-    }
-    // Cache inserts happen here — serially, in function index order —
-    // never while tasks run, so probe results and eviction order are
-    // identical at every --jobs level.
-    if (Opts.Cache && T.HasStore)
-      Opts.Cache->insert(T.StoreKey, std::move(T.Store));
+    if (Opts.Injector && T.HasInjector)
+      Opts.Injector->absorbCounts(T.Injector);
   }
   return Batch;
 }

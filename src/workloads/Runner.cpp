@@ -31,15 +31,6 @@ const char *dbds::runConfigName(RunConfig Config) {
   return "?";
 }
 
-std::vector<RunnerOptionDiagnostic> RunnerOptions::validate() const {
-  std::vector<RunnerOptionDiagnostic> Out;
-  if (Injector != nullptr && Cache != nullptr)
-    Out.push_back({"--compile-cache",
-                   "incompatible with fault injection: a replayed compile "
-                   "would desync the sequential fault stream"});
-  return Out;
-}
-
 namespace {
 
 void diagnose(const RunnerOptions &Opts, DiagKind Kind,

@@ -29,7 +29,6 @@
 
 namespace dbds {
 
-class CompileCache;
 class DecisionLog;
 class DiagnosticEngine;
 class FaultInjector;
@@ -38,15 +37,6 @@ class FaultInjector;
 enum class RunConfig { Baseline, DBDS, DupALot };
 
 const char *runConfigName(RunConfig Config);
-
-/// One conflict or out-of-range knob found by RunnerOptions::validate(),
-/// phrased in the drivers' flag vocabulary so it can be printed verbatim
-/// as a usage error.
-struct RunnerOptionDiagnostic {
-  std::string Option;  ///< The flag as drivers expose it
-                       ///< ("--compile-cache").
-  std::string Message; ///< What is wrong with its value or combination.
-};
 
 /// Harness robustness knobs. The defaults degrade gracefully: faults are
 /// diagnosed and measurement continues; FailFast restores the legacy
@@ -92,23 +82,6 @@ struct RunnerOptions {
   /// ConfigMeasurement::Audit and the bench JSON's `simulation_audit`
   /// section (drivers expose --simaudit).
   bool SimAudit = false;
-
-  /// Checks the knob combination for conflicts the harness would
-  /// otherwise paper over at runtime: fault injection combined with the
-  /// compile cache (a replayed compile would desync the sequential fault
-  /// stream — the conflict fuzzdiff used to auto-disable silently).
-  /// Returns one diagnostic per problem; empty means the options are
-  /// coherent. Every
-  /// driver gates on this after wiring its pointers (see
-  /// tooling/DriverOptions.h's reportInvalidRunnerOptions).
-  std::vector<RunnerOptionDiagnostic> validate() const;
-
-  /// Optional content-addressed compile cache (not owned; drivers expose
-  /// --compile-cache[=dir]). A hit replays the memoized compile so the
-  /// run's deterministic outputs are byte-identical to a cold compile
-  /// (workloads/CompileCache.h); misses store clean compiles at the
-  /// serial join.
-  CompileCache *Cache = nullptr;
 };
 
 /// Raw measurements of one benchmark under one configuration.

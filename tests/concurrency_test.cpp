@@ -11,9 +11,9 @@
 // identical interpreter results, counter totals, decision logs, and
 // diagnostics across >= 5 seeds under all three paper configurations).
 //
-// The ParallelCompileTest.StressSmoke and ThreadPoolTest cases double as
-// the TSan subjects (the `tsan` preset + concurrency_tsan_smoke ctest
-// target run them with -fsanitize=thread).
+// The ThreadPoolTest, CounterShardTest and ParallelCompileTest cases double
+// as the TSan subjects (the `tsan` preset runs them with
+// -fsanitize=thread).
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "telemetry/Counters.h"
 #include "telemetry/DecisionLog.h"
 #include "telemetry/Trace.h"
-#include "workloads/CompileCache.h"
 #include "workloads/CompileService.h"
 #include "workloads/Runner.h"
 #include "workloads/Suites.h"
@@ -283,7 +282,7 @@ struct CorpusObservation {
   std::vector<CounterSample> CounterDelta;
 };
 
-CorpusObservation observeCorpus(unsigned Jobs, CompileCache *Cache = nullptr) {
+CorpusObservation observeCorpus(unsigned Jobs) {
   const SuiteSpec Corpus =
       generatorCorpusSuite(/*Seed=*/900, /*Benchmarks=*/5, /*Functions=*/5,
                            /*Segments=*/5);
@@ -294,7 +293,6 @@ CorpusObservation observeCorpus(unsigned Jobs, CompileCache *Cache = nullptr) {
   Opts.Verify = true;
   Opts.Decisions = &Decisions;
   Opts.Diags = &Diags;
-  Opts.Cache = Cache;
 
   std::vector<CounterSample> Pre = CounterRegistry::instance().snapshot();
   CompileService Service(Jobs);
@@ -350,54 +348,6 @@ TEST(ConcurrencyWallTest, JobsOneAndJobsEightAreObservablyIdentical) {
     EXPECT_EQ(Serial.CounterDelta[I].Value, Parallel.CounterDelta[I].Value)
         << "counter " << Serial.CounterDelta[I].Name;
   }
-}
-
-TEST(ConcurrencyWallTest, CompileCacheIsScheduleIndependent) {
-  // The cache extension of the wall: hit/miss accounting and every
-  // replayed payload must be schedule-independent. Three runs are
-  // compared — cold --jobs=8, warm --jobs=8 (same cache), and cold
-  // --jobs=1 (fresh cache). Cold8 and Cold1 must agree on everything
-  // *including* cache.* counters (probes happen in the parallel tasks,
-  // inserts at the serial join); Warm8 must agree on everything except
-  // cache.* (hits replace misses — the one documented warm/cold
-  // divergence).
-  CompileCache Shared, Fresh;
-  CorpusObservation Cold8 = observeCorpus(8, &Shared);
-  CorpusObservation Warm8 = observeCorpus(8, &Shared);
-  CorpusObservation Cold1 = observeCorpus(1, &Fresh);
-
-  auto StripCache = [](const std::vector<CounterSample> &V) {
-    std::vector<CounterSample> Out;
-    for (const CounterSample &S : V)
-      if (S.Name.compare(0, 6, "cache.") != 0)
-        Out.push_back(S);
-    return Out;
-  };
-  auto Render = [](const CorpusObservation &O,
-                   const std::vector<CounterSample> &Counters) {
-    std::string S;
-    for (const std::string &IR : O.PrintedIR)
-      S += IR;
-    for (uint64_t H : O.ResultHashes)
-      S += std::to_string(H) + ",";
-    for (uint64_t C : O.DynamicCycles)
-      S += std::to_string(C) + ",";
-    for (uint64_t C : O.CodeSizes)
-      S += std::to_string(C) + ",";
-    for (unsigned D : O.Duplications)
-      S += std::to_string(D) + ",";
-    for (unsigned R : O.Rollbacks)
-      S += std::to_string(R) + ",";
-    S += O.RemarksJsonl + O.DiagsText;
-    for (const CounterSample &C : Counters)
-      S += C.Name + "=" + std::to_string(C.Value) + "\n";
-    return S;
-  };
-
-  EXPECT_EQ(Render(Cold8, Cold8.CounterDelta),
-            Render(Cold1, Cold1.CounterDelta));
-  EXPECT_EQ(Render(Warm8, StripCache(Warm8.CounterDelta)),
-            Render(Cold8, StripCache(Cold8.CounterDelta)));
 }
 
 TEST(ConcurrencyWallTest, RunnerMeasurementsMatchAcrossJobs) {

@@ -271,4 +271,37 @@ TEST(PrinterTest, InstructionFormats) {
   EXPECT_NE(Text.find("const null"), std::string::npos);
 }
 
+TEST(PrinterTest, NamesAreSequentialInPrintOrder) {
+  // Figure 1 with every value and block label renamed. The printer numbers
+  // values and blocks in print order, so structurally identical functions
+  // print identically whatever their source called them.
+  const char *Renamed = R"(
+func @foo(int) {
+b0:
+  %x = param 0
+  %k0 = const 0
+  %t = cmp gt %x, %k0
+  if %t, b7, b4 !0.5
+b7:
+  jump b9
+b4:
+  jump b9
+b9:
+  %m = phi int [%x, b7], [%k0, b4]
+  %k2 = const 2
+  %r = add %k2, %m
+  ret %r
+}
+)";
+  ParseResult A = parseModule(paper::Figure1);
+  ParseResult B = parseModule(Renamed);
+  ASSERT_TRUE(A) << A.Error;
+  ASSERT_TRUE(B) << B.Error;
+  const std::string Printed = printFunction(A.Mod->functions()[0]);
+  EXPECT_EQ(printFunction(B.Mod->functions()[0]), Printed);
+  EXPECT_NE(Printed.find("b3:\n  %4 = phi int [%2, b1], [%0, b2]"),
+            std::string::npos)
+      << Printed;
+}
+
 } // namespace

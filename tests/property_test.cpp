@@ -21,9 +21,7 @@
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "opts/Phase.h"
-#include "support/StableHash.h"
 #include "vm/Interpreter.h"
-#include "workloads/CompileCache.h"
 #include "workloads/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -186,24 +184,6 @@ TEST_P(OptimizationProperties, PrintParsePrintIsAFixedPoint) {
   ParseResult R2 = parseModule(Optimized);
   ASSERT_TRUE(R2) << R2.Error;
   EXPECT_EQ(printModule(R2.Mod.get()), Optimized);
-}
-
-TEST_P(OptimizationProperties, ContentHashIsInvariantUnderReparse) {
-  // P7: hash(printCacheableUnit(f)) survives a parse round-trip — the
-  // cache key a process computes over re-parsed IR equals the key the
-  // writing process computed, which is what makes on-disk entries
-  // portable across processes.
-  GeneratedWorkload W = generateWorkload(makeConfig());
-  ParseResult R = parseModule(printModule(W.Mod.get()));
-  ASSERT_TRUE(R) << R.Error;
-  auto FA = W.Mod->functions(), FB = R.Mod->functions();
-  ASSERT_EQ(FA.size(), FB.size());
-  for (size_t I = 0; I != FA.size(); ++I) {
-    const std::string UA = printCacheableUnit(W.Mod.get(), FA[I]);
-    const std::string UB = printCacheableUnit(R.Mod.get(), FB[I]);
-    EXPECT_EQ(UA, UB);
-    EXPECT_EQ(stableHash128(UA), stableHash128(UB));
-  }
 }
 
 TEST_P(OptimizationProperties, BacktrackingAgreesWithInterpreter) {

@@ -323,10 +323,11 @@ TEST(TimerTest, ResetClearsNestingDepth) {
 
 // ---- StableHash ----------------------------------------------------------
 //
-// Golden values pin the exact FNV-1a parameters. These digests are
-// persisted in on-disk compile-cache entries and file names: any change
-// here is a silent cache-format break, so the constants are asserted
-// against independently computed values, not against the implementation.
+// Golden values pin the exact FNV-1a parameters. The behaviour wall
+// planned in ROADMAP item 11 commits these digests to the repository and
+// compares each build's against them, so any change here would silently
+// invalidate every committed digest; the constants are asserted against
+// independently computed values, not against the implementation.
 
 TEST(StableHashTest, Fnv64GoldenValues) {
   EXPECT_EQ(stableHash64(std::string("")), 0xcbf29ce484222325ULL);

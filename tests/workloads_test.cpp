@@ -6,6 +6,7 @@
 
 #include "analysis/Verifier.h"
 #include "dbds/DBDSPhase.h"
+#include "ir/Printer.h"
 #include "opts/Phase.h"
 #include "vm/Interpreter.h"
 #include "workloads/Runner.h"
@@ -23,6 +24,9 @@ TEST(GeneratorTest, IsDeterministic) {
   GeneratedWorkload A = generateWorkload(Config);
   GeneratedWorkload B = generateWorkload(Config);
   ASSERT_EQ(A.Mod->functions().size(), B.Mod->functions().size());
+  EXPECT_EQ(printModule(A.Mod.get()), printModule(B.Mod.get()));
+  EXPECT_EQ(A.TrainInputs, B.TrainInputs);
+  EXPECT_EQ(A.EvalInputs, B.EvalInputs);
   Interpreter IA(*A.Mod), IB(*B.Mod);
   for (unsigned F = 0; F != 3; ++F) {
     for (const auto &Args : A.EvalInputs[F]) {

@@ -9,13 +9,7 @@
 //   fuzzdiff [--seed=N] [--count=N] [--max-seconds=N] [--out-dir=DIR]
 //            [--functions=N] [--segments=N] [--inject=SEED]
 //            [--sabotage] [--fail-fast] [--quiet]
-//            [--trace=FILE] [--jobs=N] [--simaudit] [--compile-cache[=DIR]]
-//            [--cache-dir=DIR]
-//
-// --compile-cache memoizes injector-free compiles by content hash
-// (workloads/CompileCache.h): identical generated functions recurring
-// across seeds and configs replay instead of recompiling, with findings
-// byte-identical to the uncached run. With =DIR entries persist on disk.
+//            [--trace=FILE] [--jobs=N] [--simaudit]
 //
 // For each seed it generates a program (workloads/ProgramGenerator),
 // optimizes a copy under each of the paper's three configurations —
@@ -69,7 +63,6 @@
 #include "tooling/Reducer.h"
 #include "tooling/Sabotage.h"
 #include "vm/Interpreter.h"
-#include "workloads/CompileCache.h"
 #include "workloads/CompileService.h"
 #include "workloads/ProgramGenerator.h"
 #include "workloads/Runner.h"
@@ -103,8 +96,7 @@ uint64_t oracleFuel(uint64_t ReferenceSteps) {
 
 struct Options {
   /// Shared flags (tooling/DriverOptions.h): --seed/--count/--functions/
-  /// --segments/--fail-fast/--quiet/--trace/--jobs/--simaudit/
-  /// --compile-cache/--cache-dir.
+  /// --segments/--fail-fast/--quiet/--trace/--jobs/--simaudit.
   DriverOptions Common;
   double MaxSeconds = 0.0; ///< 0 = unlimited.
   std::string OutDir = "fuzzdiff-artifacts";
@@ -137,45 +129,7 @@ GeneratorConfig makeGeneratorConfig(uint64_t Seed, const Options &O) {
 void compileFunction(Function &F, Module *M, RunConfig Config,
                      const std::vector<std::vector<int64_t>> &Train,
                      const Options &O, DiagnosticEngine *Diags,
-                     FaultInjector *Injector, DecisionLog *Decisions = nullptr,
-                     CompileCache *Cache = nullptr,
-                     std::vector<std::pair<CompileCacheKey, CompileCacheEntry>>
-                         *PendingStores = nullptr) {
-  // Content-addressed memoization of the whole profile+optimize procedure.
-  // Only sabotage-free compiles participate: sabotage diverges by design.
-  // Injected faults advance a sequential stream, so --inject with the
-  // cache is rejected up front by RunnerOptions::validate(); the Injector
-  // guard here is belt-and-braces. The reduction oracle never passes a
-  // cache — a shrinking module must recompile for real every time.
-  if (Injector || O.Sabotage)
-    Cache = nullptr;
-  CompileCacheKey Key{};
-  if (Cache) {
-    CompileCacheFingerprint FP;
-    FP.Tool = "fuzzdiff";
-    FP.Config = static_cast<unsigned>(Config);
-    FP.Verify = true;
-    FP.FailFast = O.Common.FailFast;
-    FP.WantDiags = Diags != nullptr;
-    FP.WantDecisions = Decisions != nullptr;
-    FP.MetricsEnabled = MetricsRegistry::enabled();
-    Key = computeCompileCacheKey(printCacheableUnit(M, &F), Train,
-                                 /*EvalInputs=*/{}, FP);
-    auto Entry = Cache->probe(Key);
-    PreparedReplay Replay;
-    if (Entry && prepareReplay(*Entry, Replay)) {
-      CompileCache::countHit();
-      F.restoreFrom(*Replay.Fn);
-      if (Decisions)
-        for (const DuplicationDecision &D : Entry->Decisions)
-          Decisions->append(D);
-      return;
-    }
-    CompileCache::countMiss();
-  }
-  const size_t DiagsBefore = Diags ? Diags->all().size() : 0;
-  const size_t DecisionsBefore = Decisions ? Decisions->decisions().size() : 0;
-
+                     FaultInjector *Injector, DecisionLog *Decisions = nullptr) {
   Interpreter Interp(*M);
   ProfileSummary Profile;
   for (const auto &Args : Train) {
@@ -184,13 +138,11 @@ void compileFunction(Function &F, Module *M, RunConfig Config,
   }
   applyProfile(F, Profile);
 
-  unsigned Rollbacks = 0;
   PhaseManager Pipeline = PhaseManager::standardPipeline(/*Verify=*/true, M);
   Pipeline.setFailFast(O.Common.FailFast);
   Pipeline.setDiagnostics(Diags);
   Pipeline.setFaultInjector(Injector);
   Pipeline.run(F);
-  Rollbacks += Pipeline.rollbackCount();
   if (Config != RunConfig::Baseline) {
     DBDSConfig DC;
     DC.UseTradeoff = Config == RunConfig::DBDS;
@@ -200,27 +152,11 @@ void compileFunction(Function &F, Module *M, RunConfig Config,
     DC.Diags = Diags;
     DC.Injector = Injector;
     DC.Decisions = Decisions;
-    DBDSResult R = runDBDS(F, DC);
-    Rollbacks += R.RollbacksPerformed;
+    runDBDS(F, DC);
   }
   if (O.Sabotage && Config != RunConfig::Baseline) {
     SabotagePhase Sabotage;
     Sabotage.run(F);
-  }
-
-  // Store only clean compiles (no rollbacks, no new diagnostics) — the
-  // same eligibility rule the compile service applies. Stores are
-  // buffered; the seed-order join inserts them serially.
-  if (Cache && PendingStores && Rollbacks == 0 &&
-      (!Diags || Diags->all().size() == DiagsBefore)) {
-    CompileCacheEntry E;
-    E.CodeSize = F.estimatedCodeSize();
-    E.OptimizedIR = printCacheableUnit(M, &F);
-    if (Decisions)
-      E.Decisions.assign(Decisions->decisions().begin() +
-                             static_cast<ptrdiff_t>(DecisionsBefore),
-                         Decisions->decisions().end());
-    PendingStores->push_back({Key, std::move(E)});
   }
 }
 
@@ -388,8 +324,7 @@ int main(int Argc, char **Argv) {
       O.Common,
       {DriverFlag::Seed, DriverFlag::Count, DriverFlag::Functions,
        DriverFlag::Segments, DriverFlag::FailFast, DriverFlag::Quiet,
-       DriverFlag::Trace, DriverFlag::Jobs, DriverFlag::SimAudit,
-       DriverFlag::CompileCache, DriverFlag::CacheDir});
+       DriverFlag::Trace, DriverFlag::Jobs, DriverFlag::SimAudit});
   for (int I = 1; I != Argc; ++I) {
     switch (P.parse(Argv[I])) {
     case ParseStatus::Handled:
@@ -457,25 +392,8 @@ int main(int Argc, char **Argv) {
     std::optional<GeneratedWorkload> Ref; ///< Kept only when findings exist.
     std::vector<PendingFinding> Findings;
     SimAuditCounts Audit; ///< Aggregated --simaudit verdicts for this seed.
-    /// Clean compiles buffered for the cache; inserted at the seed-order
-    /// join (tasks only probe during the parallel phase).
-    std::vector<std::pair<CompileCacheKey, CompileCacheEntry>> PendingStores;
   };
   std::vector<SeedOutcome> Outcomes(O.Common.Count);
-  std::optional<CompileCache> Cache;
-  if (O.Common.UseCompileCache)
-    Cache.emplace(O.Common.CacheDir);
-  CompileCache *CachePtr = Cache ? &*Cache : nullptr;
-
-  // Knob-conflict gate: most prominently --inject + --compile-cache,
-  // which this driver used to reconcile silently by dropping the cache.
-  {
-    RunnerOptions Check = O.Common.toRunnerOptions();
-    Check.Injector = InjectorPtr;
-    Check.Cache = CachePtr;
-    if (reportInvalidRunnerOptions(Check, "fuzzdiff"))
-      return 2;
-  }
   std::atomic<bool> SabotageFound{false};
   const RunConfig Configs[] = {RunConfig::Baseline, RunConfig::DBDS,
                                RunConfig::DupALot};
@@ -524,8 +442,7 @@ int main(int Argc, char **Argv) {
         DecisionLog Decisions;
         compileFunction(OF, Opt.Mod.get(), Config, Opt.TrainInputs[FIdx], O,
                         &Out.Diags, TaskInjector,
-                        WantAudit ? &Decisions : nullptr, CachePtr,
-                        &Out.PendingStores);
+                        WantAudit ? &Decisions : nullptr);
         if (WantAudit)
           Out.Audit.accumulate(auditSimulation(OF, Decisions));
         for (const auto &Args : Ref.EvalInputs[FIdx]) {
@@ -581,9 +498,6 @@ int main(int Argc, char **Argv) {
     Diags.mergeFrom(Out.Diags);
     if (InjectorPtr && Out.HasInjector)
       InjectorPtr->absorbCounts(Out.Injector);
-    if (CachePtr)
-      for (auto &P : Out.PendingStores)
-        CachePtr->insert(P.first, std::move(P.second));
     for (PendingFinding &PF : Out.Findings) {
       if (O.Sabotage && !Findings.empty())
         break; // one proven catch is enough

@@ -457,11 +457,6 @@ int main(int Argc, char **Argv) {
       O.Files.push_back(Arg);
   }
 
-  // The shared knobs feed CompileService directly here, but the conflict
-  // rules are the same for every driver — gate through the one validator.
-  if (reportInvalidRunnerOptions(O.Common.toRunnerOptions(), "irlint"))
-    return 2;
-
   if (O.ListRules)
     return listRules(O);
 
